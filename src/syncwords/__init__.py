@@ -23,8 +23,8 @@ from .reduce import (ReductionReport, add_link_letters, add_restart_letter,
 from .search import (BLIND, BUDGET_EXCEEDED, BlindSubsetError,
                      BudgetExceededError, D1, D2, D3, DEFAULT_BUDGET, FOUND,
                      NOT_SYNCHRONIZING, SearchBudget, SearchResult,
-                     SubsetGraph, TransversalViolation, brute_force_oracle,
-                     build_subset_graph, check_transversal_partition,
+                     TransversalViolation, brute_force_oracle,
+                     check_transversal_partition,
                      composition_depth, constant_target,
                      count_shortest_reset_words, directing_word,
                      is_blind, is_swap_congruence, merging_target,

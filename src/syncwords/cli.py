@@ -30,7 +30,7 @@ from .sampling import (random_careful_subset_pfa,
                        random_connectable_pairs, random_dfa, random_nfa,
                        random_pfa, random_subset,
                        random_synchronizable_subset_dfa)
-from .search import (BUDGET_EXCEEDED, FOUND, NOT_SYNCHRONIZING,
+from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, NOT_SYNCHRONIZING,
                      BlindSubsetError, BudgetExceededError, SearchBudget,
                      SearchResult, brute_force_oracle,
                      check_transversal_partition, composition_depth,
@@ -53,13 +53,26 @@ class CliError(Exception):
         self.code = code
 
 
+def _env_int(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _budget(args) -> SearchBudget:
-    mem = int(os.environ.get("SYNCWORDS_MAX_MEMORY", 8 << 30))
-    nodes = int(os.environ.get("SYNCWORDS_MAX_NODES", 10_000_000))
+    """Caps from the flags, else the environment, else the defaults; a
+    zero or negative cap is rejected by SearchBudget."""
+    nodes = getattr(args, "max_nodes", None)
+    length = getattr(args, "max_length", None)
     return SearchBudget(
-        max_nodes=args.max_nodes if getattr(args, "max_nodes", None) else nodes,
-        max_length=getattr(args, "max_length", None) or 10_000_000,
-        max_memory=mem,
+        max_nodes=(_env_int("SYNCWORDS_MAX_NODES", DEFAULT_BUDGET.max_nodes)
+                   if nodes is None else nodes),
+        max_length=DEFAULT_BUDGET.max_length if length is None else length,
+        max_memory=_env_int("SYNCWORDS_MAX_MEMORY", DEFAULT_BUDGET.max_memory),
     )
 
 
@@ -633,7 +646,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("suite", choices=tuple(SUITES))
     sp.add_argument("--seed", type=int, default=2024)
     sp.add_argument("--count", type=int, default=None)
-    sp.add_argument("--determinism", choices=("strict", "fast"), default="strict")
     common(sp)
     sp.set_defaults(func=cmd_experiment)
     return p

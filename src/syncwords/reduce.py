@@ -19,7 +19,7 @@ from .automata import (DFA, PFA, Alphabet, Automaton, Instance, Pair,
                        is_strongly_connected, run, successors)
 from .families import debruijn_counter
 from .search import (BLIND, BUDGET_EXCEEDED, BlindSubsetError,
-                     SearchBudget, SearchResult, check_transversal_partition,
+                     BudgetExceededError, SearchBudget, SearchResult, check_transversal_partition,
                      is_swap_congruence, replay, shortest_careful_reset,
                      shortest_subset_reset)
 from .textio import parse, serialize
@@ -57,7 +57,7 @@ def _sync_target(a: Automaton, subset: StateSet, budget: Optional[SearchBudget]
     if res.status == BLIND:
         raise BlindSubsetError("subset is blind")
     if res.status == BUDGET_EXCEEDED:
-        raise RuntimeError("could not synchronize the subset within budget")
+        raise BudgetExceededError("could not synchronize the subset within budget")
     image = run(a, subset, res.witness)
     (target,) = image
     return target, res.witness
@@ -486,8 +486,8 @@ def binary_chain(m: int, variant: str,
     a = counter.automaton
     subset = counter.subset
     base = shortest_subset_reset(a, subset, budget)
-    if not base.found:
-        raise RuntimeError("counter subset search failed")
+    if not base.found:  # the counter subset is never blind
+        raise BudgetExceededError("counter subset search exceeds budget")
     reports: list[ReductionReport] = []
 
     if variant == "subset":

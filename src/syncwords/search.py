@@ -1,11 +1,23 @@
 """Exact shortest-word searches over the power-set graph, plus verifiers.
 
-Subsets of states are encoded as integer bit masks.  All searches run a
-level-synchronized breadth-first search expanding letters in declared
-alphabet order, which makes the returned witness the lexicographically
-least among all shortest ones.  A search either finds an exact answer,
-reports a definite negative, or stops with `budget_exceeded`; it never
-returns a wrong length.
+Subsets of states are encoded as integer bit masks.  Every search is
+built from two pieces:
+
+* the image kernel `_images(a, careful)`, whose `images(t)` lists the
+  image of mask t under each letter in declared alphabet order, with 0
+  where the careful rule forbids the letter;
+* the driver `_bfs(start, children, goal, ...)`, one level-synchronized
+  breadth-first search.  It expands `children(node)` in letter order and
+  keeps one `parents` dict that doubles as the visited set.  The goal is
+  tested on each node when it is first discovered, and never on `start`,
+  so callers decide the zero-length case themselves.
+
+Letter order makes the returned witness the lexicographically least
+among all shortest ones.  A search either finds an exact answer,
+reports a definite negative, or stops with `budget_exceeded` on any of
+the node, length and memory caps; it never returns a wrong length.
+The brute-force oracle keeps its own image loop on purpose, so that it
+stays an independent check of the kernel and the driver.
 
 The "careful" applicability rule (a letter may be applied to an active
 set only if it is defined on every active state) is used for pfa in all
@@ -15,9 +27,9 @@ subset searches; for dfa it degenerates to the total case.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .automata import DFA, PFA, Automaton, StateSet, Word
 
@@ -49,7 +61,7 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchResult:
     status: str
     length: Optional[int] = None
@@ -89,13 +101,18 @@ def mask_of(states: Iterable[int]) -> int:
     return m
 
 
-def set_of(mask: int) -> StateSet:
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of a mask, ascending."""
     out = []
     while mask:
         b = mask & -mask
         out.append(b.bit_length() - 1)
         mask ^= b
-    return frozenset(out)
+    return out
+
+
+def set_of(mask: int) -> StateSet:
+    return frozenset(_bits(mask))
 
 
 def _node_bytes(n: int) -> int:
@@ -103,69 +120,102 @@ def _node_bytes(n: int) -> int:
     return 120 + 2 * (n // 4)
 
 
-def _bfs_to_singleton(a: Automaton, start: int, careful: bool,
-                      budget: SearchBudget) -> SearchResult:
-    t0 = time.perf_counter()
+def _images(a: Automaton, careful: bool) -> Callable[[int], list[int]]:
+    """The image kernel: `images(t)` lists the image of mask t under each
+    letter in alphabet order, 0 where the careful rule forbids the letter."""
     succ, defined = transition_masks(a)
-    letters = range(len(a.alphabet))
-    if start.bit_count() == 1:
-        return SearchResult(FOUND, 0, (), 1, time.perf_counter() - t0)
-    parents: dict[int, tuple[int, int]] = {}
-    visited = {start}
+    table = tuple(zip(succ, defined))
+
+    def images(t: int) -> list[int]:
+        bits = _bits(t)
+        out = []
+        for col, dmask in table:
+            if careful and (t & dmask) != t:
+                out.append(0)
+                continue
+            u = 0
+            for i in bits:
+                u |= col[i]
+            out.append(u)
+        return out
+
+    return images
+
+
+Parents = dict[Hashable, Optional[tuple[Hashable, int]]]
+
+
+def _bfs(start: Hashable, children: Callable[[Hashable], Iterable],
+         goal: Callable[[Hashable], bool], budget: SearchBudget,
+         node_bytes: int) -> tuple[Optional[str], Optional[Word], Parents]:
+    """The level-synchronized search driver.
+
+    `children(node)` yields one child per letter in alphabet order, a
+    falsy child meaning the letter gives no edge.  Returns (status, word,
+    parents): status is FOUND with the word reaching the first goal node
+    (then the last key of `parents`), BUDGET_EXCEEDED, or None when the
+    reachable graph is exhausted.  `parents` maps every discovered node
+    to (parent, letter), and `start` to None.
+    """
+    parents: Parents = {start: None}
     frontier = [start]
-    per_node = _node_bytes(a.n)
     depth = 0
     while frontier:
         depth += 1
         if depth > budget.max_length:
-            return SearchResult(BUDGET_EXCEEDED, explored=len(visited),
-                                elapsed=time.perf_counter() - t0)
+            return BUDGET_EXCEEDED, None, parents
         nxt = []
-        for t in frontier:
-            for x in letters:
-                if careful and (t & defined[x]) != t:
+        for node in frontier:
+            for x, child in enumerate(children(node)):
+                if not child or child in parents:
                     continue
-                col = succ[x]
-                u = 0
-                tt = t
-                while tt:
-                    b = tt & -tt
-                    u |= col[b.bit_length() - 1]
-                    tt ^= b
-                if not u or u in visited:
-                    continue
-                visited.add(u)
-                parents[u] = (t, x)
-                if u.bit_count() == 1:
+                parents[child] = (node, x)
+                if goal(child):
                     word = [x]
-                    node = t
-                    while node != start:
-                        node, y = parents[node]
+                    while (link := parents[node]) is not None:
+                        node, y = link
                         word.append(y)
                     word.reverse()
-                    return SearchResult(FOUND, depth, tuple(word), len(visited),
-                                        time.perf_counter() - t0)
-                nxt.append(u)
-        if len(visited) > budget.max_nodes or len(visited) * per_node > budget.max_memory:
-            return SearchResult(BUDGET_EXCEEDED, explored=len(visited),
-                                elapsed=time.perf_counter() - t0)
+                    return FOUND, tuple(word), parents
+                nxt.append(child)
+        if len(parents) > budget.max_nodes or len(parents) * node_bytes > budget.max_memory:
+            return BUDGET_EXCEEDED, None, parents
         frontier = nxt
-    return SearchResult("exhausted", explored=len(visited),
-                        elapsed=time.perf_counter() - t0)
+    return None, None, parents
 
 
-def _finish(res: SearchResult, negative: str) -> SearchResult:
-    if res.status == "exhausted":
-        res.status = negative
-    return res
+def _is_singleton(t: int) -> bool:
+    return t.bit_count() == 1
+
+
+def _search(start: Hashable, children: Callable[[Hashable], Iterable],
+            goal: Callable[[Hashable], bool], budget: Optional[SearchBudget],
+            node_bytes: int, negative: str) -> SearchResult:
+    """Run the driver and report its outcome, `negative` if exhausted."""
+    t0 = time.perf_counter()
+    status, word, parents = _bfs(start, children, goal, budget or DEFAULT_BUDGET,
+                                 node_bytes)
+    return SearchResult(status or negative, len(word) if word else None, word,
+                        len(parents), time.perf_counter() - t0)
+
+
+# The answer when the start already is a goal; results are immutable.
+_EMPTY_WORD = SearchResult(FOUND, 0, (), 1)
+
+
+def _reset_search(a: Automaton, start: int, careful: bool,
+                  budget: Optional[SearchBudget], negative: str) -> SearchResult:
+    if _is_singleton(start):
+        return _EMPTY_WORD
+    return _search(start, _images(a, careful), _is_singleton, budget,
+                   _node_bytes(a.n), negative)
 
 
 def shortest_reset(a: Automaton, budget: Optional[SearchBudget] = None) -> SearchResult:
     """Shortest word merging all states of a dfa into one."""
     if a.kind != DFA:
         raise ValueError("shortest_reset requires a dfa")
-    budget = budget or DEFAULT_BUDGET
-    return _finish(_bfs_to_singleton(a, (1 << a.n) - 1, False, budget), NOT_SYNCHRONIZING)
+    return _reset_search(a, (1 << a.n) - 1, False, budget, NOT_SYNCHRONIZING)
 
 
 def shortest_careful_reset(a: Automaton,
@@ -173,8 +223,7 @@ def shortest_careful_reset(a: Automaton,
     """Shortest careful reset word of the full state set of a dfa/pfa."""
     if a.kind not in (DFA, PFA):
         raise ValueError("shortest_careful_reset requires a dfa or pfa")
-    budget = budget or DEFAULT_BUDGET
-    return _finish(_bfs_to_singleton(a, (1 << a.n) - 1, True, budget), NOT_SYNCHRONIZING)
+    return _reset_search(a, (1 << a.n) - 1, True, budget, NOT_SYNCHRONIZING)
 
 
 def shortest_subset_reset(a: Automaton, subset: Iterable[int],
@@ -187,8 +236,7 @@ def shortest_subset_reset(a: Automaton, subset: Iterable[int],
         raise ValueError("subset must be nonempty")
     if start >= 1 << a.n:
         raise IndexError("subset member out of range")
-    budget = budget or DEFAULT_BUDGET
-    return _finish(_bfs_to_singleton(a, start, True, budget), BLIND)
+    return _reset_search(a, start, True, budget, BLIND)
 
 
 def is_blind(a: Automaton, subset: Iterable[int],
@@ -200,88 +248,21 @@ def is_blind(a: Automaton, subset: Iterable[int],
     return res.status == BLIND
 
 
-def replay(a: Automaton, start: Iterable[int], word: Sequence[int],
-           careful: bool = True) -> Optional[StateSet]:
+def replay(a: Automaton, start: Iterable[int], word: Sequence[int]) -> Optional[StateSet]:
     """Apply a word under the careful rule; None if some letter is inapplicable."""
-    succ, defined = transition_masks(a)
-    t = mask_of(start)
+    states = frozenset(start)
+    if any(s < 0 or s >= a.n for s in states):
+        raise IndexError("start state out of range")
+    images = _images(a, True)
+    t = mask_of(states)
     for x in word:
-        if careful and (t & defined[x]) != t:
-            return None
-        u = 0
-        tt = t
-        while tt:
-            b = tt & -tt
-            u |= succ[x][b.bit_length() - 1]
-            tt ^= b
+        if not 0 <= x < len(a.alphabet):
+            raise IndexError(f"letter {x} out of range")
+        u = images(t)[x]
+        if t and not u:
+            return None  # x is undefined on some active state
         t = u
     return set_of(t)
-
-
-@dataclass
-class SubsetGraph:
-    """Materialized reachable part of the subset graph of one source set."""
-
-    source: int
-    nodes: list[int]                       # masks in BFS discovery order
-    index: dict[int, int]
-    edges: list[list[tuple[int, int]]]     # per node: (letter, target index)
-    level: list[int]
-    parent: list[int]                      # discovery parent index, -1 for source
-    parent_letter: list[int]
-
-    def word_to(self, i: int) -> Word:
-        out = []
-        while self.parent[i] != -1:
-            out.append(self.parent_letter[i])
-            i = self.parent[i]
-        out.reverse()
-        return tuple(out)
-
-
-def build_subset_graph(a: Automaton, subset: Iterable[int], careful: bool = True,
-                       budget: Optional[SearchBudget] = None) -> SubsetGraph:
-    budget = budget or DEFAULT_BUDGET
-    succ, defined = transition_masks(a)
-    start = mask_of(subset)
-    if not start:
-        raise ValueError("subset must be nonempty")
-    g = SubsetGraph(start, [start], {start: 0}, [[]], [0], [-1], [-1])
-    frontier = [0]
-    depth = 0
-    per_node = _node_bytes(a.n)
-    while frontier:
-        depth += 1
-        nxt = []
-        for i in frontier:
-            t = g.nodes[i]
-            for x in range(len(a.alphabet)):
-                if careful and (t & defined[x]) != t:
-                    continue
-                u = 0
-                tt = t
-                while tt:
-                    b = tt & -tt
-                    u |= succ[x][b.bit_length() - 1]
-                    tt ^= b
-                if not u:
-                    continue
-                j = g.index.get(u)
-                if j is None:
-                    j = len(g.nodes)
-                    g.index[u] = j
-                    g.nodes.append(u)
-                    g.edges.append([])
-                    g.level.append(depth)
-                    g.parent.append(i)
-                    g.parent_letter.append(x)
-                    nxt.append(j)
-                g.edges[i].append((x, j))
-        if len(g.nodes) > budget.max_nodes or len(g.nodes) * per_node > budget.max_memory:
-            raise BudgetExceededError(
-                f"subset graph exceeds budget at {len(g.nodes)} nodes")
-        frontier = nxt
-    return g
 
 
 def relevant_part(a: Automaton, subset: Iterable[int],
@@ -295,28 +276,37 @@ def relevant_part(a: Automaton, subset: Iterable[int],
     """
     if a.kind not in (DFA, PFA):
         raise ValueError("relevant_part requires a dfa or pfa")
-    g = build_subset_graph(a, subset, careful=True, budget=budget)
-    singletons = [i for i, m in enumerate(g.nodes) if m.bit_count() == 1]
-    if not singletons:
+    start = mask_of(subset)
+    if not start:
+        raise ValueError("subset must be nonempty")
+    images = _images(a, True)
+    edges: dict[int, list[int]] = {}
+
+    def children(t: int) -> list[int]:
+        edges[t] = images(t)
+        return edges[t]
+
+    status, _, parents = _bfs(start, children, lambda t: False,
+                              budget or DEFAULT_BUDGET, _node_bytes(a.n))
+    if status == BUDGET_EXCEEDED:
+        raise BudgetExceededError(f"subset graph exceeds budget at {len(parents)} nodes")
+    stack = [t for t in parents if _is_singleton(t)]
+    if not stack:
         raise BlindSubsetError("subset is blind: no careful reset word exists")
-    preds: list[list[int]] = [[] for _ in g.nodes]
-    for i, out in enumerate(g.edges):
-        for _, j in out:
-            preds[j].append(i)
-    alive = [False] * len(g.nodes)
-    stack = list(singletons)
-    for i in stack:
-        alive[i] = True
-    while stack:
-        j = stack.pop()
-        for i in preds[j]:
-            if not alive[i]:
-                alive[i] = True
-                stack.append(i)
+    preds: dict[int, list[int]] = {}
+    for t, out in edges.items():
+        for u in out:
+            if u:
+                preds.setdefault(u, []).append(t)
+    alive = set(stack)  # sets from which a singleton is reachable
     united = 0
-    for i, m in enumerate(g.nodes):
-        if alive[i]:
-            united |= m
+    while stack:
+        u = stack.pop()
+        united |= u
+        for t in preds.get(u, ()):
+            if t not in alive:
+                alive.add(t)
+                stack.append(t)
     states = sorted(set_of(united))
     reindex = {s: i for i, s in enumerate(states)}
     keep = set(states)
@@ -378,66 +368,37 @@ def check_transversal_partition(a: Automaton, subset: Iterable[int],
         raise ValueError("transversal check requires a dfa or pfa")
     budget = budget or DEFAULT_BUDGET
     blocks = [mask_of(b) for b in partition]
-    seen = 0
+    domain = 0
     for b in blocks:
-        if seen & b:
+        if domain & b:
             raise ValueError("partition blocks must be disjoint")
-        seen |= b
+        domain |= b
     start = mask_of(subset)
     if not start:
         raise ValueError("subset must be nonempty")
     if len(blocks) != start.bit_count():
         raise ValueError("need exactly one block per subset state")
-    if start & ~seen:
+    if start & ~domain:
         raise ValueError("subset must lie inside the union of the blocks")
-    domain = seen
-    succ, defined = transition_masks(a)
+    images = _images(a, True)
+
+    def children(t: int) -> list[int]:
+        if _is_singleton(t):
+            return []  # singleton images stay singletons
+        return [0 if u & ~domain else u for u in images(t)]
 
     def verdict(t: int) -> bool:
-        return t.bit_count() == 1 or all((t & b).bit_count() == 1 for b in blocks)
-
-    parents: dict[int, tuple[int, int]] = {}
-
-    def word_to(t: int) -> Word:
-        out = []
-        while t != start:
-            t, x = parents[t]
-            out.append(x)
-        out.reverse()
-        return tuple(out)
+        return _is_singleton(t) or all((t & b).bit_count() == 1 for b in blocks)
 
     if not verdict(start):
         return TransversalViolation((), set_of(start))
-    synchronizable = start.bit_count() == 1
-    visited = {start}
-    frontier = [start] if start.bit_count() > 1 else []
-    per_node = _node_bytes(a.n)
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for x in range(len(a.alphabet)):
-                if (t & defined[x]) != t:
-                    continue
-                u = 0
-                tt = t
-                while tt:
-                    b = tt & -tt
-                    u |= succ[x][b.bit_length() - 1]
-                    tt ^= b
-                if u & ~domain or u in visited:
-                    continue
-                visited.add(u)
-                parents[u] = (t, x)
-                if not verdict(u):
-                    return TransversalViolation(word_to(u), set_of(u))
-                if u.bit_count() == 1:
-                    synchronizable = True
-                    continue  # singleton images stay singletons
-                nxt.append(u)
-        if len(visited) > budget.max_nodes or len(visited) * per_node > budget.max_memory:
-            raise BudgetExceededError("transversal traversal exceeds budget")
-        frontier = nxt
-    if not synchronizable:
+    status, word, parents = _bfs(start, children, lambda t: not verdict(t),
+                                 budget, _node_bytes(a.n))
+    if status == FOUND:
+        return TransversalViolation(word, set_of(next(reversed(parents))))
+    if status == BUDGET_EXCEEDED:
+        raise BudgetExceededError("transversal traversal exceeds budget")
+    if not any(_is_singleton(t) for t in parents):
         raise BlindSubsetError(
             "no careful reset word inside the block domain "
             "(subset blind or blocks do not cover the relevant part)")
@@ -461,26 +422,16 @@ def count_shortest_reset_words(a: Automaton, subset: Iterable[int],
         return None
     if res.length == 0:
         return 0, 1
-    succ, defined = transition_masks(a)
-    start = mask_of(subset)
-    ways: dict[int, int] = {start: 1}
+    images = _images(a, True)
+    ways: dict[int, int] = {mask_of(subset): 1}
     hits = 0
-    for depth in range(1, res.length + 1):
+    for _ in range(res.length):
         nxt: dict[int, int] = {}
         for t, count in ways.items():
-            for x in range(len(a.alphabet)):
-                if (t & defined[x]) != t:
-                    continue
-                u = 0
-                tt = t
-                while tt:
-                    b = tt & -tt
-                    u |= succ[x][b.bit_length() - 1]
-                    tt ^= b
-                if u.bit_count() == 1:
-                    if depth == res.length:  # no singleton exists earlier
-                        hits += count
-                else:
+            for u in images(t):
+                if _is_singleton(u):
+                    hits += count  # only on the last level: none exists earlier
+                elif u:
                     nxt[u] = nxt.get(u, 0) + count
         ways = nxt
     return res.length, hits
@@ -503,11 +454,13 @@ def directing_word(a: Automaton, mode: str,
     """
     if mode not in (D1, D2, D3):
         raise ValueError(f"unknown directing mode {mode!r}")
-    budget = budget or DEFAULT_BUDGET
-    t0 = time.perf_counter()
-    succ, _ = transition_masks(a)
-    n = a.n
-    letters = range(len(a.alphabet))
+    images = _images(a, False)
+
+    def children(node: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+        new = zip(*map(images, node))
+        if mode == D2:
+            return new
+        return [u if all(u) else () for u in new]  # an empty image never recovers
 
     def hit(node: tuple[int, ...]) -> bool:
         if mode == D1:
@@ -521,54 +474,11 @@ def directing_word(a: Automaton, mode: str,
             common &= m
         return common != 0
 
-    start = tuple(1 << s for s in range(n))
+    start = tuple(1 << s for s in range(a.n))
     if hit(start):
-        return SearchResult(FOUND, 0, (), 1, time.perf_counter() - t0)
-    visited = {start}
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-    frontier = [start]
-    depth = 0
-    per_node = _node_bytes(n) * n
-    while frontier:
-        depth += 1
-        if depth > budget.max_length:
-            return SearchResult(BUDGET_EXCEEDED, explored=len(visited),
-                                elapsed=time.perf_counter() - t0)
-        nxt = []
-        for node in frontier:
-            for x in letters:
-                col = succ[x]
-                images = []
-                for m in node:
-                    u = 0
-                    while m:
-                        b = m & -m
-                        u |= col[b.bit_length() - 1]
-                        m ^= b
-                    images.append(u)
-                new = tuple(images)
-                if mode != D2 and any(m == 0 for m in new):
-                    continue  # an empty image can never recover
-                if new in visited:
-                    continue
-                visited.add(new)
-                parents[new] = (node, x)
-                if hit(new):
-                    word = [x]
-                    cur = node
-                    while cur != start:
-                        cur, y = parents[cur]
-                        word.append(y)
-                    word.reverse()
-                    return SearchResult(FOUND, depth, tuple(word), len(visited),
-                                        time.perf_counter() - t0)
-                nxt.append(new)
-        if len(visited) > budget.max_nodes or len(visited) * per_node > budget.max_memory:
-            return SearchResult(BUDGET_EXCEEDED, explored=len(visited),
-                                elapsed=time.perf_counter() - t0)
-        frontier = nxt
-    return SearchResult(NOT_SYNCHRONIZING, explored=len(visited),
-                        elapsed=time.perf_counter() - t0)
+        return _EMPTY_WORD
+    return _search(start, children, hit, budget, _node_bytes(a.n) * a.n,
+                   NOT_SYNCHRONIZING)
 
 
 # --- brute-force oracle ------------------------------------------------------
@@ -685,53 +595,23 @@ def composition_depth(n: int, generators: Sequence[Sequence[int]],
                       budget: Optional[SearchBudget] = None) -> SearchResult:
     """Length of a shortest generator sequence whose composition hits the target.
 
-    Sequences have length >= 1 (the empty composition is excluded); the
-    witness lists generator indices in application order g1,...,gk with
-    the composition g1 o ... o gk applying gk first.
+    The search starts from the empty composition `()`, which is never
+    tested, so sequences have length >= 1; the witness lists generator
+    indices in application order g1,...,gk with the composition
+    g1 o ... o gk applying gk first.
     """
-    budget = budget or DEFAULT_BUDGET
-    t0 = time.perf_counter()
     gens: list[Transform] = []
     for g in generators:
         f = tuple(g)
         if len(f) != n or any(v < 0 or v >= n for v in f):
             raise ValueError(f"generator {g!r} is not a function on 0..{n - 1}")
         gens.append(f)
-    visited: dict[Transform, None] = {}
-    parents: dict[Transform, tuple[Optional[Transform], int]] = {}
-    frontier: list[Transform] = []
-    for i, g in enumerate(gens):
-        if g not in visited:
-            visited[g] = None
-            parents[g] = (None, i)
-            frontier.append(g)
-    depth = 1
-    while frontier:
-        for h in frontier:
-            if target(h):
-                word = []
-                cur: Optional[Transform] = h
-                while cur is not None:
-                    cur, i = parents[cur]
-                    word.append(i)
-                word.reverse()
-                return SearchResult(FOUND, depth, tuple(word), len(visited),
-                                    time.perf_counter() - t0)
-        depth += 1
-        if depth > budget.max_length:
-            return SearchResult(BUDGET_EXCEEDED, explored=len(visited),
-                                elapsed=time.perf_counter() - t0)
-        nxt = []
-        for h in frontier:
-            for i, g in enumerate(gens):
-                new = tuple(h[g[s]] for s in range(n))
-                if new not in visited:
-                    visited[new] = None
-                    parents[new] = (h, i)
-                    nxt.append(new)
-        if len(visited) > budget.max_nodes:
-            return SearchResult(BUDGET_EXCEEDED, explored=len(visited),
-                                elapsed=time.perf_counter() - t0)
-        frontier = nxt
-    return SearchResult(NOT_SYNCHRONIZING, explored=len(visited),
-                        elapsed=time.perf_counter() - t0)
+
+    def children(h: Transform) -> list[Transform]:
+        if not h:  # the empty composition
+            return gens
+        return [tuple(map(h.__getitem__, g)) for g in gens]  # h o g
+
+    res = _search((), children, target, budget, _node_bytes(n) * n,
+                  NOT_SYNCHRONIZING)
+    return replace(res, explored=res.explored - 1)  # () is not a transform

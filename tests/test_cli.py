@@ -244,3 +244,36 @@ def test_experiment_seeded_determinism(capsys):
         del report["timing"]
         outs.append(json.dumps(report, sort_keys=True))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("flag", ["--max-nodes", "--max-length"])
+def test_zero_budget_flag_is_rejected(counter_file, capsys, flag):
+    code, _, err = run_cli(capsys, "shortest", counter_file, "--mode", "subset",
+                           flag, "0")
+    assert code == 1
+    assert "positive" in err
+
+
+@pytest.mark.parametrize("name", ["SYNCWORDS_MAX_NODES", "SYNCWORDS_MAX_MEMORY"])
+def test_non_integer_budget_env_is_rejected(counter_file, capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "lots")
+    code, _, err = run_cli(capsys, "shortest", counter_file, "--mode", "subset")
+    assert code == 1
+    assert name in err and "'lots'" in err
+
+
+def test_verify_transversal_respects_max_length(tmp_path, capsys):
+    path = str(tmp_path / "c2.aut")
+    assert run_cli(capsys, "build", "counter", "--m", "2", "-o", path)[0] == 0
+    code, _, err = run_cli(capsys, "verify", path, "--check", "transversal",
+                           "--max-length", "1")
+    assert code == 3
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("op", [["add-sinks"], ["chain", "--m", "2"]])
+def test_reduce_budget_exit_code(counter_file, capsys, op):
+    code, _, err = run_cli(capsys, "reduce", counter_file, "--op", *op,
+                           "--max-nodes", "2")
+    assert code == 3
+    assert "budget" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -59,6 +60,22 @@ def test_budget_exceeded_on_length():
     assert res.status == BUDGET_EXCEEDED
 
 
+def test_results_are_immutable():
+    res = shortest_reset(cerny(3).automaton)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.status = NOT_SYNCHRONIZING
+    assert res.status == FOUND
+
+
+def test_explored_counts_are_pinned():
+    # the driver tests the goal on discovery and counts the start node
+    ci = debruijn_counter(4)
+    res = shortest_subset_reset(ci.automaton, ci.subset)
+    assert (res.length, res.explored) == (46, 946)
+    res = shortest_reset(cerny(12).automaton)
+    assert (res.length, res.explored) == (121, 4084)
+
+
 def test_careful_requires_total_letter():
     # no letter is defined on both states, so nothing careful can start
     a = pfa_from_table([[0, None], [None, 1]], "ab")
@@ -75,6 +92,19 @@ def test_careful_upper_bound_on_random_instances():
         assert res.length <= 2 ** n - n - 1
         image = replay(a, a.states, res.witness)
         assert image is not None and len(image) == 1
+
+
+def test_replay_is_careful_and_checks_range():
+    a = pfa_from_table([[1, 0], [None, 0]], "ab")
+    assert replay(a, {0, 1}, [1]) == frozenset({0})
+    assert replay(a, {0, 1}, [0]) is None  # a is undefined on state 1
+    assert replay(a, {0}, [0, 1]) == frozenset({0})
+    for word in ([-1], [2]):
+        with pytest.raises(IndexError):
+            replay(a, {0, 1}, word)
+    for start in ({-1}, {2}):
+        with pytest.raises(IndexError):
+            replay(a, start, [1])
 
 
 def test_singleton_subset_is_trivial():
@@ -178,24 +208,6 @@ def test_count_agrees_with_oracle():
                     if len(run(a, s, w)) == 1)
         assert brute == count
         checked += 1
-
-
-def test_subset_graph_structure():
-    from syncwords.search import build_subset_graph, mask_of, set_of
-    ci = debruijn_counter(2)
-    g = build_subset_graph(ci.automaton, ci.subset)
-    assert g.nodes[0] == g.source == mask_of(ci.subset)
-    assert all(g.level[j] <= g.level[k]
-               for j, k in zip(range(len(g.nodes)), range(1, len(g.nodes))))
-    singletons = [i for i, m in enumerate(g.nodes) if m.bit_count() == 1]
-    best = min(singletons, key=g.level.__getitem__)
-    word = g.word_to(best)
-    assert len(word) == g.level[best] == 7
-    assert run(ci.automaton, ci.subset, word) == set_of(g.nodes[best])
-    for i, out in enumerate(g.edges):
-        for letter, j in out:
-            assert run(ci.automaton, set_of(g.nodes[i]), (letter,)) == \
-                set_of(g.nodes[j])
 
 
 # --- relevant part ------------------------------------------------------------
@@ -411,6 +423,7 @@ def test_composition_cerny4():
     gens = [tuple(next(iter(a.delta[s][x])) for s in a.states) for x in range(2)]
     res = composition_depth(4, gens, constant_target)
     assert res.length == shortest_reset(a).length == 9
+    assert res.explored == 91  # the goal is tested when a node is discovered
     composed = gens[res.witness[0]]
     for i in res.witness[1:]:
         composed = tuple(composed[gens[i][x]] for x in range(4))
