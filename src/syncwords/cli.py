@@ -252,47 +252,40 @@ def cmd_build(args) -> int:
 def cmd_reduce(args) -> int:
     started = time.perf_counter()
     budget = _budget(args)
-    if args.op == "chain":
+    chain = args.op == "chain"
+    if chain:
         if args.m is None:
             raise CliError("chain needs --m")
+        command = f"reduce chain {args.variant}"
         reports = binary_chain(args.m, args.variant, budget)
-        checks = []
-        for i, rep in enumerate(reports):
-            if args.output:
-                path = f"{args.output}.{i}.{rep.name}.aut"
-                save(path, rep.output)
-            checks.extend(
-                {"name": f"{rep.name}: {name}", "pass": passed}
-                for name, passed in rep.checks
-            )
-        rows = [{"stage": rep.name, "states": rep.output.automaton.n,
-                 "letters": len(rep.output.automaton.alphabet),
-                 **{k: v for k, v in rep.details.items() if isinstance(v, (int, str))}}
-                for rep in reports]
-        report = _report(f"reduce chain {args.variant}", reports[-1].output,
-                         rows, checks, started)
-        _emit(report, args.format)
-        return EXIT_OK if all(c["pass"] for c in checks) else EXIT_NEGATIVE
-    if not args.file:
-        raise CliError("reduce needs an input file (except op=chain)")
-    instance = load(args.file)
-    try:
-        rep = run_reduction(args.op, instance, budget)
-    except (ValueError, BlindSubsetError) as e:
-        report = _report(f"reduce {args.op}", instance, [],
-                         [{"name": "precondition", "pass": False, "info": str(e)}],
-                         started)
-        _emit(report, args.format)
-        return EXIT_NEGATIVE
-    if args.output:
-        save(args.output, rep.output)
-    checks = [{"name": name, "pass": passed} for name, passed in rep.checks]
-    rows = [{"op": rep.name, "states": rep.output.automaton.n,
-             "letters": len(rep.output.automaton.alphabet),
-             **{k: v for k, v in rep.details.items() if isinstance(v, (int, str))}}]
-    report = _report(f"reduce {args.op}", rep.output, rows, checks, started)
+    else:
+        if not args.file:
+            raise CliError("reduce needs an input file (except op=chain)")
+        command = f"reduce {args.op}"
+        instance = load(args.file)
+        try:
+            reports = [run_reduction(args.op, instance, budget)]
+        except (ValueError, BlindSubsetError) as e:
+            report = _report(command, instance, [],
+                             [{"name": "precondition", "pass": False, "info": str(e)}],
+                             started)
+            _emit(report, args.format)
+            return EXIT_NEGATIVE
+    checks, rows = [], []
+    for i, rep in enumerate(reports):
+        if args.output:
+            save(f"{args.output}.{i}.{rep.name}.aut" if chain else args.output,
+                 rep.output)
+        checks.extend({"name": f"{rep.name}: {name}" if chain else name,
+                       "pass": passed} for name, passed in rep.checks)
+        rows.append({"stage" if chain else "op": rep.name,
+                     "states": rep.output.automaton.n,
+                     "letters": len(rep.output.automaton.alphabet),
+                     **{k: v for k, v in rep.details.items()
+                        if isinstance(v, (int, str))}})
+    report = _report(command, reports[-1].output, rows, checks, started)
     _emit(report, args.format)
-    return EXIT_OK if rep.ok else EXIT_NEGATIVE
+    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_NEGATIVE
 
 
 def _verify_counter(instance: Instance, m: int, xi: Optional[str],
@@ -389,7 +382,7 @@ def _suite_thresholds(args, budget) -> tuple[list[dict], list[dict]]:
     for m in (2, 4, 8):
         ci = debruijn_counter(m)
         word = counting_word(m)
-        formula = 2 ** m * (ci.k + 1) + 1
+        formula = (2 ** m - 1) * (ci.k + 1) + 1
         if m <= 4:
             res = shortest_subset_reset(ci.automaton, ci.subset, budget)
             measured = res.length
@@ -404,27 +397,28 @@ def _suite_thresholds(args, budget) -> tuple[list[dict], list[dict]]:
             "m": m, "n": ci.automaton.n, "letters": 4, "mode": "subset",
             "status": status, "length": measured, "formula_value": formula,
             "match": measured == formula, "explored": explored,
-            "elapsed_ms": None,
         })
         checks.append({"name": f"m={m}: measured length equals predicted word",
                        "pass": measured == len(word),
-                       "info": f"measured {measured}, formula {formula}"
-                               + ("" if measured == formula else
-                                  " (one counting block below the formula)")})
-    for variant, formula_fn in (("subset", lambda m: 60 * m + 12 * (m.bit_length() - 1) + 48),
-                                ("careful", lambda m: 35 * m + 7 * (m.bit_length() - 1) + 21)):
+                       "info": f"measured {measured}, formula {formula}"})
+    # the subset chain's state count equals its formula, the careful
+    # chain's is bounded by it
+    for variant, formula_check in (("subset", "final state count matches formula"),
+                                   ("careful", "final state count within formula")):
         reports = binary_chain(2, variant, budget)
-        final = reports[-1].output.automaton
+        final = reports[-1]
+        n = final.output.automaton.n
+        formula = final.details["formula_states"]
+        ok = all(r.ok for r in reports)
         rows.append({
-            "m": 2, "n": final.n, "letters": len(final.alphabet),
-            "mode": f"chain-{variant}", "status": "ok" if all(r.ok for r in reports)
-            else "fail", "length": reports[-1].details.get("witness_length"),
-            "formula_value": formula_fn(2), "match": final.n == formula_fn(2),
-            "explored": None, "elapsed_ms": None,
+            "m": 2, "n": n, "letters": len(final.output.automaton.alphabet),
+            "mode": f"chain-{variant}", "status": "ok" if ok else "fail",
+            "length": final.details.get("witness_length"),
+            "formula_value": formula, "match": dict(final.checks)[formula_check],
+            "explored": None,
         })
-        checks.append({"name": f"chain {variant} structural checks",
-                       "pass": all(r.ok for r in reports),
-                       "info": f"{final.n} states vs formula {formula_fn(2)}"})
+        checks.append({"name": f"chain {variant} structural checks", "pass": ok,
+                       "info": f"{n} states vs formula {formula}"})
     return rows, checks
 
 

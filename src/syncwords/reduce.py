@@ -1,66 +1,71 @@
 """Constructive reductions between synchronization thresholds.
 
-Each transform takes an instance satisfying a structural precondition
-and emits a new instance with a provable relation between the shortest
-word lengths of the two.  `run_reduction` wraps a transform together
-with its structural checks into a ReductionReport; `binary_chain`
-composes the transforms into the two chains that turn the switch-counter
-family into binary strongly connected instances, propagating a witness
-word through every stage.
+Each transform turns an instance satisfying a structural precondition
+into one whose shortest word length L' relates to the input's L:
+
+    add-sinks  L' = L + 1        double    L' >= L + 1
+    connect    L' = L            restart   L <= L' <= L + 1
+    binarize   L' >= L careful; in subset mode witnesses must decode
+
+`run_reduction` applies one transform with its structural checks,
+searches the input and the output once each, then checks the relation
+and the witnesses, and builds one frozen ReductionReport.  `binary_chain`
+runs the stages double -> binarize (subset) or restart -> connect ->
+binarize (careful) on the switch counter, ending in a binary strongly
+connected instance, and checks a witness propagated through them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Optional, Sequence
+import itertools
+from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .automata import (DFA, PFA, Alphabet, Automaton, Instance, Pair,
                        StateSet, Word, augmentation_connects,
-                       is_strongly_connected, run, successors)
+                       is_strongly_connected, run)
 from .families import debruijn_counter
 from .search import (BLIND, BUDGET_EXCEEDED, BlindSubsetError,
-                     BudgetExceededError, SearchBudget, SearchResult, check_transversal_partition,
-                     is_swap_congruence, replay, shortest_careful_reset,
-                     shortest_subset_reset)
+                     BudgetExceededError, SearchBudget, SearchResult,
+                     check_transversal_partition, is_swap_congruence, replay,
+                     shortest_careful_reset, shortest_subset_reset)
 from .textio import parse, serialize
 
 
-def _fresh_tokens(base: str, count: int, taken: Iterable[str]) -> list[str]:
+def _fresh_tokens(base: str, number: int, taken: Iterable[str],
+                  first: int = 0) -> list[str]:
+    """The first `number` of base<first>, base<first+1>, ... not in `taken`,
+    suffix 0 written as the bare base."""
     taken = set(taken)
-    out = []
-    suffix = 0
-    while len(out) < count:
-        tok = base if suffix == 0 else f"{base}{suffix}"
-        suffix += 1
-        if tok not in taken:
-            taken.add(tok)
-            out.append(tok)
-    return out
+    names = (f"{base}{i}" if i else base for i in itertools.count(first))
+    return list(itertools.islice((t for t in names if t not in taken), number))
 
 
-def _numbered_tokens(base: str, count: int, taken: Iterable[str]) -> list[str]:
-    taken = set(taken)
-    out = []
-    suffix = 1
-    while len(out) < count:
-        tok = f"{base}{suffix}"
-        suffix += 1
-        if tok not in taken:
-            taken.add(tok)
-            out.append(tok)
-    return out
+def _paths_from(a: Automaton, source: int) -> dict[int, Word]:
+    """A shortest word from `source` to each reachable state, the least
+    in letter order among those the breadth-first search meets first."""
+    paths = {source: ()}
+    queue = [source]
+    for s in queue:
+        for x, cell in enumerate(a.delta[s]):
+            for t in cell:
+                if t not in paths:
+                    paths[t] = paths[s] + (x,)
+                    queue.append(t)
+    return paths
 
 
-def _sync_target(a: Automaton, subset: StateSet, budget: Optional[SearchBudget]
-                 ) -> tuple[int, Word]:
+def _sync_target(a: Automaton, subset: StateSet,
+                 budget: Optional[SearchBudget]) -> int:
+    """The state the subset's shortest careful reset word ends in."""
     res = shortest_subset_reset(a, subset, budget)
     if res.status == BLIND:
         raise BlindSubsetError("subset is blind")
     if res.status == BUDGET_EXCEEDED:
         raise BudgetExceededError("could not synchronize the subset within budget")
-    image = run(a, subset, res.witness)
-    (target,) = image
-    return target, res.witness
+    (target,) = run(a, subset, res.witness)
+    return target
 
 
 def add_sink_determinization(a: Automaton, subset: Iterable[int],
@@ -74,7 +79,7 @@ def add_sink_determinization(a: Automaton, subset: Iterable[int],
     if a.kind not in (DFA, PFA):
         raise ValueError("determinization applies to dfa/pfa")
     subset = frozenset(subset)
-    target, _ = _sync_target(a, subset, budget)
+    target = _sync_target(a, subset, budget)
     n = a.n
     drain, trap = n, n + 1
     (finish,) = _fresh_tokens("ω", 1, a.alphabet.symbols)
@@ -87,9 +92,7 @@ def add_sink_determinization(a: Automaton, subset: Iterable[int],
     sink_row = lambda t: tuple(frozenset((t,)) for _ in range(len(letters)))
     delta.append(sink_row(drain))
     delta.append(sink_row(trap))
-    labels = None
-    if a.state_labels:
-        labels = a.state_labels + ("D", "Dx")
+    labels = a.state_labels + ("D", "Dx") if a.state_labels else None
     out = Automaton(DFA, n + 2, letters, tuple(delta), labels)
     return Instance(out, subset | {drain})
 
@@ -106,7 +109,7 @@ def add_link_letters(a: Automaton, pairs: Sequence[Pair]) -> Instance:
         raise ValueError("the given arcs do not make the automaton strongly connected")
     if not pairs:
         return Instance(a)
-    toks = _numbered_tokens("ψ", len(pairs), a.alphabet.symbols)
+    toks = _fresh_tokens("ψ", len(pairs), a.alphabet.symbols, first=1)
     letters = Alphabet(a.alphabet.symbols + tuple(toks))
     delta = []
     for s in a.states:
@@ -135,17 +138,9 @@ def swap_doubling(a: Automaton, subset: Iterable[int], pairs: Sequence[Pair],
     if not augmentation_connects(a, pairs):
         raise ValueError("the given arcs do not make the automaton strongly connected")
     subset = frozenset(subset)
-    target, _ = _sync_target(a, subset, budget)
+    target = _sync_target(a, subset, budget)
 
-    reach = {target}
-    stack = [target]
-    adj = successors(a)
-    while stack:
-        s = stack.pop()
-        for t in adj[s]:
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
+    reach = _paths_from(a, target)
     chosen = next((i for i, (r, _) in enumerate(pairs) if r in reach), None)
     if chosen is None:
         raise ValueError("no arc origin is reachable from the synchronization target")
@@ -160,7 +155,7 @@ def swap_doubling(a: Automaton, subset: Iterable[int], pairs: Sequence[Pair],
             return east
         return s + n if s < n else s - n
 
-    toks = _numbered_tokens("ψ", len(pairs), a.alphabet.symbols)
+    toks = _fresh_tokens("ψ", len(pairs), a.alphabet.symbols, first=1)
     letters = Alphabet(a.alphabet.symbols + tuple(toks))
     base_letters = len(a.alphabet)
 
@@ -286,10 +281,9 @@ def binarize(a: Automaton, subset: Optional[Iterable[int]] = None) -> Instance:
     )
     kind = a.kind if a.kind == DFA else PFA
     out = Automaton(kind, a.n * K, Alphabet(BINARY_LETTERS), tuple(delta), labels)
-    new_subset = None
     if subset is not None:
-        new_subset = frozenset(idx(s, 0) for s in subset)
-    return Instance(out, new_subset)
+        subset = frozenset(idx(s, 0) for s in subset)
+    return Instance(out, subset)
 
 
 def encode_word(word: Sequence[int], n_letters: int) -> Word:
@@ -322,153 +316,127 @@ def decode_word(word: Sequence[int]) -> Word:
 
 # --- reports and the chain driver --------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ReductionReport:
+    """A reduction's output with its named checks in the order they ran;
+    `details` holds the measured lengths and other figures."""
     name: str
-    input: Instance
     output: Instance
-    relation: str
-    checks: list[tuple[str, bool]] = dc_field(default_factory=list)
-    details: dict = dc_field(default_factory=dict)
+    checks: tuple[tuple[str, bool], ...]
+    details: Mapping[str, object]  # read-only
 
     @property
     def ok(self) -> bool:
         return all(passed for _, passed in self.checks)
 
-    def check(self, name: str, passed: bool) -> None:
-        self.checks.append((name, bool(passed)))
+
+# op -> (name of its length check, holds(length_in, length_out))
+_RELATIONS = {
+    "add-sinks": ("gap exactly +1", lambda l, k: k == l + 1),
+    "connect": ("careful length equal", lambda l, k: k == l),
+    "double": ("gap at least +1", lambda l, k: k >= l + 1),
+    "restart": ("careful length in [L, L+1]", lambda l, k: l <= k <= l + 1),
+    "binarize": ("careful length does not drop", lambda l, k: k >= l),
+}
 
 
-def _roundtrip_ok(inst: Instance) -> bool:
-    return parse(serialize(inst)) == inst
-
-
-def _try_search(a: Automaton, subset: Optional[frozenset], careful_whole: bool,
-                budget: Optional[SearchBudget]) -> SearchResult:
-    if careful_whole:
+def _shortest(a: Automaton, subset: Optional[StateSet],
+              budget: Optional[SearchBudget]) -> SearchResult:
+    """Careful search of the subset, or of all states when it is None."""
+    if subset is None:
         return shortest_careful_reset(a, budget)
-    assert subset is not None
     return shortest_subset_reset(a, subset, budget)
 
 
 def run_reduction(name: str, instance: Instance,
                   budget: Optional[SearchBudget] = None,
                   pairs: Optional[Sequence[Pair]] = None) -> ReductionReport:
-    """Apply one named reduction and record its structural checks.
+    """Apply one named reduction and record its checks.
 
     Names: add-sinks, connect, double, restart, binarize (subset mode
-    when the instance has a subset, careful mode otherwise).
+    when the instance has a subset, careful mode otherwise).  The checks
+    are the op's structural ones, its length relation when both searches
+    find a word, its witness checks, and the serialization round trip.
     """
     a = instance.automaton
     arcs = pairs if pairs is not None else (instance.pairs or ())
+    subset = instance.subset
+    relation = _RELATIONS.get(name)
+    witness_checks = lambda before, after: ()
     if name == "add-sinks":
-        if instance.subset is None:
+        if subset is None:
             raise ValueError("add-sinks needs a subset")
-        out = add_sink_determinization(a, instance.subset, budget)
-        rep = ReductionReport(name, instance, out,
-                              "new subset length = old careful length + 1")
-        rep.check("state count +2", out.automaton.n == a.n + 2)
-        rep.check("letter count +1",
-                  len(out.automaton.alphabet) == len(a.alphabet) + 1)
-        before = shortest_subset_reset(a, instance.subset, budget)
-        after = shortest_subset_reset(out.automaton, out.subset, budget)
-        if before.found and after.found:
-            rep.details.update(length_in=before.length, length_out=after.length)
-            rep.check("gap exactly +1", after.length == before.length + 1)
+        out = add_sink_determinization(a, subset, budget)
+        checks = [("state count +2", out.automaton.n == a.n + 2),
+                  ("letter count +1",
+                   len(out.automaton.alphabet) == len(a.alphabet) + 1)]
     elif name == "connect":
+        subset = None  # the careful threshold of the whole automaton
         out = add_link_letters(a, arcs)
-        rep = ReductionReport(name, instance, out,
-                              "careful length preserved, output strongly connected")
-        rep.check("strongly connected", is_strongly_connected(out.automaton))
-        rep.check("letter count +arcs",
-                  len(out.automaton.alphabet) == len(a.alphabet) + len(arcs))
-        before = shortest_careful_reset(a, budget)
-        after = shortest_careful_reset(out.automaton, budget)
-        rep.details.update(status_in=before.status, status_out=after.status)
-        if before.found and after.found:
-            rep.details.update(length_in=before.length, length_out=after.length)
-            rep.check("careful length equal", after.length == before.length)
-            rep.check("witness avoids link letters",
-                      all(x < len(a.alphabet) for x in after.witness))
-        else:
-            rep.check("negative preserved", before.status == after.status)
+        checks = [("strongly connected", is_strongly_connected(out.automaton)),
+                  ("letter count +arcs",
+                   len(out.automaton.alphabet) == len(a.alphabet) + len(arcs))]
+        witness_checks = lambda before, after: [
+            ("witness avoids link letters",
+             all(x < len(a.alphabet) for x in after.witness))]
     elif name == "double":
-        if instance.subset is None:
+        if subset is None:
             raise ValueError("double needs a subset")
-        out = swap_doubling(a, instance.subset, arcs, budget)
-        rep = ReductionReport(name, instance, out,
-                              "new subset length >= old + 1, output strongly connected")
-        rep.check("state count 2n+2", out.automaton.n == 2 * a.n + 2)
-        rep.check("strongly connected", is_strongly_connected(out.automaton))
-        rep.check("swap congruence",
-                  is_swap_congruence(out.automaton, out.partition))
-        before = shortest_subset_reset(a, instance.subset, budget)
-        after = shortest_subset_reset(out.automaton, out.subset, budget)
-        if before.found and after.found:
-            rep.details.update(length_in=before.length, length_out=after.length,
-                               gap=after.length - before.length)
-            rep.check("gap at least +1", after.length >= before.length + 1)
+        out = swap_doubling(a, subset, arcs, budget)
+        checks = [("state count 2n+2", out.automaton.n == 2 * a.n + 2),
+                  ("strongly connected", is_strongly_connected(out.automaton)),
+                  ("swap congruence",
+                   is_swap_congruence(out.automaton, out.partition))]
     elif name == "restart":
-        if instance.subset is None or instance.partition is None:
+        if subset is None or instance.partition is None:
             raise ValueError("restart needs a subset and a partition")
-        out = add_restart_letter(a, instance.subset, instance.partition, budget)
-        rep = ReductionReport(
-            name, instance, out,
-            "careful length of output in [subset length, subset length + 1]")
-        rep.check("letter count +1",
-                  len(out.automaton.alphabet) == len(a.alphabet) + 1)
-        rep.check("state count = block union",
-                  out.automaton.n == sum(len(b) for b in instance.partition))
-        restart = len(out.automaton.alphabet) - 1
-        image = run(out.automaton, out.automaton.states, (restart,))
-        rep.check("restart letter idempotent on its image",
-                  run(out.automaton, image, (restart,)) == image)
-        before = shortest_subset_reset(a, instance.subset, budget)
-        after = shortest_careful_reset(out.automaton, budget)
-        if before.found and after.found:
-            rep.details.update(length_in=before.length, length_out=after.length)
-            rep.check("careful length in [L, L+1]",
-                      before.length <= after.length <= before.length + 1)
+        out = add_restart_letter(a, subset, instance.partition, budget)
+        restart = (len(out.automaton.alphabet) - 1,)
+        image = run(out.automaton, out.automaton.states, restart)
+        checks = [("letter count +1",
+                   len(out.automaton.alphabet) == len(a.alphabet) + 1),
+                  ("state count = block union",
+                   out.automaton.n == sum(len(b) for b in instance.partition)),
+                  ("restart letter idempotent on its image",
+                   run(out.automaton, image, restart) == image)]
     elif name == "binarize":
-        out = binarize(a, instance.subset)
-        rep = ReductionReport(name, instance, out,
-                              "words correspond to their two-letter encodings")
-        rep.check("state count k*n", out.automaton.n == a.n * len(a.alphabet))
-        rep.check("binary", len(out.automaton.alphabet) == 2)
-        if instance.subset is not None:
-            before = shortest_subset_reset(a, instance.subset, budget)
-            after = shortest_subset_reset(out.automaton, out.subset, budget)
-            if before.found and after.found:
-                rep.details.update(length_in=before.length, length_out=after.length)
-                decoded = decode_word(after.witness)
-                rep.check("decoded witness resets the input subset",
-                          run(a, instance.subset, decoded) is not None
-                          and len(run(a, instance.subset, decoded)) == 1)
-                rep.check("encoded witness resets the output subset",
-                          replay(out.automaton, out.subset,
-                                 encode_word(before.witness, len(a.alphabet)))
-                          is not None)
-        else:
+        out = binarize(a, subset)
+        checks = [("state count k*n", out.automaton.n == a.n * len(a.alphabet)),
+                  ("binary", len(out.automaton.alphabet) == 2)]
+        if subset is not None:
+            relation = None  # subset mode checks the witness encodings instead
+            witness_checks = lambda before, after: [
+                ("decoded witness resets the input subset",
+                 len(run(a, subset, decode_word(after.witness))) == 1),
+                ("encoded witness resets the output subset",
+                 replay(out.automaton, out.subset,
+                        encode_word(before.witness, len(a.alphabet))) is not None)]
+        elif a.n >= 2:  # 1-state witnesses need no apply letter and don't decode
             order = _careful_letter_order(a)
-            before = shortest_careful_reset(a, budget)
-            after = shortest_careful_reset(out.automaton, budget)
-            if before.found and after.found:
-                rep.details.update(length_in=before.length, length_out=after.length)
-                rep.check("careful length does not drop", after.length >= before.length)
-                if a.n >= 2:  # 1-state witnesses need no apply letter and don't decode
-                    decoded = [order[c] for c in decode_word(after.witness)]
-                    image = replay(a, a.states, decoded)
-                    rep.check("decoded witness carefully resets the input",
-                              image is not None and len(image) == 1)
+            witness_checks = lambda before, after: [
+                ("decoded witness carefully resets the input",
+                 len(replay(a, a.states, [order[c] for c in decode_word(after.witness)])
+                     or ()) == 1)]
     else:
         raise ValueError(f"unknown reduction {name!r}")
-    rep.check("output serialization round-trips", _roundtrip_ok(out))
-    return rep
 
-
-def _reindex_pairs(pairs: Sequence[Pair], domain: Sequence[int]) -> tuple[Pair, ...]:
-    index = {s: i for i, s in enumerate(domain)}
-    return tuple((index[r], index[q]) for r, q in pairs)
+    before = _shortest(a, subset, budget)
+    after = _shortest(out.automaton, out.subset, budget)
+    details = {}
+    if name == "connect":
+        details.update(status_in=before.status, status_out=after.status)
+    if before.found and after.found:
+        details.update(length_in=before.length, length_out=after.length)
+        if name == "double":
+            details["gap"] = after.length - before.length
+        if relation is not None:
+            check_name, holds = relation
+            checks.append((check_name, holds(before.length, after.length)))
+        checks.extend(witness_checks(before, after))
+    elif name == "connect":
+        checks.append(("negative preserved", before.status == after.status))
+    checks.append(("output serialization round-trips", parse(serialize(out)) == out))
+    return ReductionReport(name, out, tuple(checks), MappingProxyType(details))
 
 
 def binary_chain(m: int, variant: str,
@@ -478,95 +446,67 @@ def binary_chain(m: int, variant: str,
 
     variant "subset": counter -> double -> binarize (a binary SC DFA with
     a designated subset).  variant "careful": counter -> restart ->
-    connect -> binarize (a binary SC PFA).
+    connect -> binarize (a binary SC PFA).  The last report also holds
+    the final-stage checks and `formula_states`, the paper's state count.
     """
     if variant not in ("subset", "careful"):
         raise ValueError("variant must be subset or careful")
     counter = debruijn_counter(m)
     a = counter.automaton
-    subset = counter.subset
-    base = shortest_subset_reset(a, subset, budget)
+    base = shortest_subset_reset(a, counter.subset, budget)
     if not base.found:  # the counter subset is never blind
         raise BudgetExceededError("counter subset search exceeds budget")
-    reports: list[ReductionReport] = []
-
     if variant == "subset":
-        rep1 = run_reduction("double", counter.instance, budget,
-                             pairs=counter.sc_pairs)
-        reports.append(rep1)
-        mid = rep1.output
-        rep2 = run_reduction("binarize", mid, budget)
-        reports.append(rep2)
-        final = rep2.output
-        # witness: counter word, then walk to the chosen arc origin, then
-        # the arc letter; everything encoded for the binary stage
-        w1 = _doubling_witness(a, subset, counter.sc_pairs, base, mid)
-        final_word = encode_word(w1, len(mid.automaton.alphabet))
-        image = run(final.automaton, final.subset, final_word)
-        expected_n = 6 * (2 * a.n + 2)
-        formula = 60 * m + 12 * (m.bit_length() - 1) + 48
-        rep2.details.update(final_states=final.automaton.n,
-                            formula_states=formula,
-                            witness_length=len(final_word))
-        rep2.check("final state count matches formula",
-                   final.automaton.n == expected_n == formula)
-        rep2.check("final strongly connected",
-                   is_strongly_connected(final.automaton))
-        rep2.check("propagated witness synchronizes", len(image) == 1)
+        stages = (("double", counter.sc_pairs), ("binarize", None))
     else:
-        rep1 = run_reduction("restart", counter.instance, budget)
-        reports.append(rep1)
-        mid = rep1.output
-        domain = sorted(set().union(*counter.instance.partition))
-        arcs = _reindex_pairs(counter.relevant_sc_pairs, domain)
-        rep2 = run_reduction("connect", mid, budget, pairs=arcs)
-        reports.append(rep2)
-        connected = rep2.output
-        rep3 = run_reduction("binarize", connected, budget)
-        reports.append(rep3)
-        final = rep3.output
-        ca = connected.automaton
-        order = _careful_letter_order(ca)
-        rank = {x: i for i, x in enumerate(order)}
-        restart_letter = len(mid.automaton.alphabet) - 1
-        w2 = (restart_letter,) + base.witness
-        stabilizer = [1] * (len(ca.alphabet) - 1) + [0]
-        final_word = tuple(stabilizer) + encode_word(
-            [rank[x] for x in w2], len(ca.alphabet))
-        image = replay(final.automaton, final.automaton.states, final_word)
-        expected_n = len(ca.alphabet) * ca.n
-        formula = 35 * m + 7 * (m.bit_length() - 1) + 21
-        rep3.details.update(final_states=final.automaton.n,
-                            formula_states=formula,
-                            witness_length=len(final_word))
-        rep3.check("final state count = letters * relevant states",
-                   final.automaton.n == expected_n)
-        rep3.check("final state count within formula",
-                   final.automaton.n <= formula)
-        rep3.check("final strongly connected",
-                   is_strongly_connected(final.automaton))
-        rep3.check("propagated witness carefully synchronizes",
-                   image is not None and len(image) == 1)
+        # the restart stage keeps the states of the blocks, renumbered in order
+        index = {s: i for i, s in
+                 enumerate(sorted(set().union(*counter.instance.partition)))}
+        stages = (("restart", None),
+                  ("connect", tuple((index[r], index[q])
+                                    for r, q in counter.relevant_sc_pairs)),
+                  ("binarize", None))
+    reports = []
+    instance = counter.instance
+    for name, pairs in stages:
+        reports.append(run_reduction(name, instance, budget, pairs=pairs))
+        instance = reports[-1].output
+
+    last = reports[-1]
+    pre = reports[-2].output.automaton  # the input of the binarize stage
+    final = instance.automaton
+    letters = len(pre.alphabet)
+    log_m = m.bit_length() - 1
+    if variant == "subset":
+        # the counter word, a shortest walk from its target to the origin of
+        # the arc swap_doubling chose, then that arc's letter
+        (target,) = run(a, counter.subset, base.witness)
+        paths = _paths_from(a, target)
+        chosen = next(i for i, (r, _) in enumerate(counter.sc_pairs) if r in paths)
+        word = encode_word(base.witness + paths[counter.sc_pairs[chosen][0]]
+                           + (len(a.alphabet) + chosen,), letters)
+        formula = 60 * m + 12 * log_m + 48
+        checks = [("final state count matches formula",
+                   final.n == 6 * (2 * a.n + 2) == formula)]
+        synchronizes = "propagated witness synchronizes"
+    else:
+        # select the total letter, then restart and the counter word, each
+        # letter renamed to its place in the careful binarization order
+        rank = {x: i for i, x in enumerate(_careful_letter_order(pre))}
+        restart = len(reports[0].output.automaton.alphabet) - 1
+        word = (1,) * (letters - 1) + (0,) + encode_word(
+            [rank[x] for x in (restart,) + base.witness], letters)
+        formula = 35 * m + 7 * log_m + 21
+        checks = [("final state count = letters * relevant states",
+                   final.n == letters * pre.n),
+                  ("final state count within formula", final.n <= formula)]
+        synchronizes = "propagated witness carefully synchronizes"
+    image = replay(final, instance.subset or final.states, word)
+    checks += [("final strongly connected", is_strongly_connected(final)),
+               (synchronizes, image is not None and len(image) == 1)]
+    reports[-1] = replace(
+        last, checks=last.checks + tuple(checks),
+        details=MappingProxyType({**last.details, "final_states": final.n,
+                                  "formula_states": formula,
+                                  "witness_length": len(word)}))
     return reports
-
-
-def _doubling_witness(a: Automaton, subset: StateSet, pairs: Sequence[Pair],
-                      base: SearchResult, doubled: Instance) -> Word:
-    """Witness for the doubled instance: base witness, a path from the
-    synchronization target to the chosen arc origin, then the arc letter."""
-    (target,) = run(a, subset, base.witness)
-    reach = {target: ()}
-    frontier = [target]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for x in range(len(a.alphabet)):
-                for t in a.delta[s][x]:
-                    if t not in reach:
-                        reach[t] = reach[s] + (x,)
-                        nxt.append(t)
-        frontier = nxt
-    chosen = next(i for i, (r, _) in enumerate(pairs) if r in reach)
-    r = pairs[chosen][0]
-    arc_letter = len(a.alphabet) + chosen
-    return base.witness + reach[r] + (arc_letter,)

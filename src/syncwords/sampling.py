@@ -8,6 +8,10 @@ import string
 from .automata import (Alphabet, Automaton, DFA, NFA, PFA, Pair, augmenting_pairs)
 from .search import FOUND, shortest_careful_reset, shortest_subset_reset
 
+PFA_DEFINED = 0.85   # chance that a pfa transition is defined
+NFA_DENSITY = 0.3    # chance of each successor in an nfa cell
+SUBSET_MIN_SIZE = 2  # random subsets have at least this many states, n permitting
+
 
 def _letters(count: int) -> tuple[str, ...]:
     return tuple(string.ascii_lowercase[:count])
@@ -21,11 +25,10 @@ def random_dfa(rng: random.Random, n: int, letters: int) -> Automaton:
     return Automaton(DFA, n, Alphabet(_letters(letters)), delta)
 
 
-def random_pfa(rng: random.Random, n: int, letters: int,
-               defined: float = 0.85) -> Automaton:
+def random_pfa(rng: random.Random, n: int, letters: int) -> Automaton:
     delta = tuple(
         tuple(
-            frozenset((rng.randrange(n),)) if rng.random() < defined else frozenset()
+            frozenset((rng.randrange(n),)) if rng.random() < PFA_DEFINED else frozenset()
             for _ in range(letters)
         )
         for _ in range(n)
@@ -33,11 +36,10 @@ def random_pfa(rng: random.Random, n: int, letters: int,
     return Automaton(PFA, n, Alphabet(_letters(letters)), delta)
 
 
-def random_nfa(rng: random.Random, n: int, letters: int,
-               density: float = 0.3) -> Automaton:
+def random_nfa(rng: random.Random, n: int, letters: int) -> Automaton:
     delta = tuple(
         tuple(
-            frozenset(t for t in range(n) if rng.random() < density)
+            frozenset(t for t in range(n) if rng.random() < NFA_DENSITY)
             for _ in range(letters)
         )
         for _ in range(n)
@@ -45,8 +47,8 @@ def random_nfa(rng: random.Random, n: int, letters: int,
     return Automaton(NFA, n, Alphabet(_letters(letters)), delta)
 
 
-def random_subset(rng: random.Random, n: int, min_size: int = 2) -> frozenset[int]:
-    size = rng.randint(min(min_size, n), n)
+def random_subset(rng: random.Random, n: int) -> frozenset[int]:
+    size = rng.randint(min(SUBSET_MIN_SIZE, n), n)
     return frozenset(rng.sample(range(n), size))
 
 

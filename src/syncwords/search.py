@@ -101,6 +101,18 @@ def mask_of(states: Iterable[int]) -> int:
     return m
 
 
+def _subset_mask(a: Automaton, subset: Iterable[int]) -> int:
+    """The mask of a nonempty set of a's states (a subset or a block)."""
+    m = 0
+    for s in subset:
+        if not 0 <= s < a.n:
+            raise IndexError("subset member out of range")
+        m |= 1 << s
+    if not m:
+        raise ValueError("subset must be nonempty")
+    return m
+
+
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of a mask, ascending."""
     out = []
@@ -231,12 +243,7 @@ def shortest_subset_reset(a: Automaton, subset: Iterable[int],
     """Shortest careful reset word of a subset (plain reset word for dfa)."""
     if a.kind not in (DFA, PFA):
         raise ValueError("subset search requires a dfa or pfa; use directing_word for nfa")
-    start = mask_of(subset)
-    if start == 0:
-        raise ValueError("subset must be nonempty")
-    if start >= 1 << a.n:
-        raise IndexError("subset member out of range")
-    return _reset_search(a, start, True, budget, BLIND)
+    return _reset_search(a, _subset_mask(a, subset), True, budget, BLIND)
 
 
 def is_blind(a: Automaton, subset: Iterable[int],
@@ -276,9 +283,7 @@ def relevant_part(a: Automaton, subset: Iterable[int],
     """
     if a.kind not in (DFA, PFA):
         raise ValueError("relevant_part requires a dfa or pfa")
-    start = mask_of(subset)
-    if not start:
-        raise ValueError("subset must be nonempty")
+    start = _subset_mask(a, subset)
     images = _images(a, True)
     edges: dict[int, list[int]] = {}
 
@@ -367,15 +372,13 @@ def check_transversal_partition(a: Automaton, subset: Iterable[int],
     if a.kind not in (DFA, PFA):
         raise ValueError("transversal check requires a dfa or pfa")
     budget = budget or DEFAULT_BUDGET
-    blocks = [mask_of(b) for b in partition]
+    blocks = [_subset_mask(a, b) for b in partition]
     domain = 0
     for b in blocks:
         if domain & b:
             raise ValueError("partition blocks must be disjoint")
         domain |= b
-    start = mask_of(subset)
-    if not start:
-        raise ValueError("subset must be nonempty")
+    start = _subset_mask(a, subset)
     if len(blocks) != start.bit_count():
         raise ValueError("need exactly one block per subset state")
     if start & ~domain:
@@ -415,7 +418,8 @@ def count_shortest_reset_words(a: Automaton, subset: Iterable[int],
     programming, so a result of (L, 1) proves the shortest word unique.
     """
     budget = budget or DEFAULT_BUDGET
-    res = shortest_subset_reset(a, subset, budget)
+    start = _subset_mask(a, subset)
+    res = shortest_subset_reset(a, set_of(start), budget)
     if res.status == BUDGET_EXCEEDED:
         raise BudgetExceededError("word counting undecided within budget")
     if not res.found:
@@ -423,7 +427,7 @@ def count_shortest_reset_words(a: Automaton, subset: Iterable[int],
     if res.length == 0:
         return 0, 1
     images = _images(a, True)
-    ways: dict[int, int] = {mask_of(subset): 1}
+    ways: dict[int, int] = {start: 1}
     hits = 0
     for _ in range(res.length):
         nxt: dict[int, int] = {}

@@ -219,7 +219,15 @@ def test_experiment_csv_schema(capsys):
     code, out, _ = run_cli(capsys, "experiment", "thresholds", "--format", "csv")
     assert code == 0
     header = out.splitlines()[0]
-    assert header == "m,n,letters,mode,status,length,formula_value,match,explored,elapsed_ms"
+    assert header == "m,n,letters,mode,status,length,formula_value,match,explored"
+
+
+def test_thresholds_rows_all_match(capsys):
+    code, out, _ = run_cli(capsys, "experiment", "thresholds", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["formula_value"] for r in rows] == [7, 46, 1021, 180, 98]
+    assert all(r["match"] for r in rows), rows
 
 
 def test_reports_are_deterministic(counter_file, capsys):

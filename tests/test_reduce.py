@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -260,3 +261,57 @@ def test_chains_m4():
     careful = binary_chain(4, "careful", budget)
     assert all(r.ok for r in careful)
     assert careful[-1].output.automaton.n == 7 * 24
+
+
+ROUNDTRIP = "output serialization round-trips"
+
+
+def _pinned_instances():
+    ci = debruijn_counter(2)
+    partial = pfa_from_table([[1, 0], [1, None]], "ab")  # not strongly connected
+    return {
+        "add-sinks": (Instance(ci.automaton, ci.subset), None),
+        "connect": (Instance(partial), [(1, 0)]),
+        "double": (ci.instance, None),
+        "restart": (ci.instance, None),
+        "binarize": (Instance(ci.automaton, ci.subset), None),
+        "careful binarize": (Instance(cerny(3).automaton), None),
+    }
+
+
+@pytest.mark.parametrize("case, checks, details", [
+    ("add-sinks", ["state count +2", "letter count +1", "gap exactly +1"],
+     ["length_in", "length_out"]),
+    ("connect", ["strongly connected", "letter count +arcs", "careful length equal",
+                 "witness avoids link letters"],
+     ["status_in", "status_out", "length_in", "length_out"]),
+    ("double", ["state count 2n+2", "strongly connected", "swap congruence",
+                "gap at least +1"],
+     ["length_in", "length_out", "gap"]),
+    ("restart", ["letter count +1", "state count = block union",
+                 "restart letter idempotent on its image", "careful length in [L, L+1]"],
+     ["length_in", "length_out"]),
+    ("binarize", ["state count k*n", "binary", "decoded witness resets the input subset",
+                  "encoded witness resets the output subset"],
+     ["length_in", "length_out"]),
+    ("careful binarize", ["state count k*n", "binary", "careful length does not drop",
+                          "decoded witness carefully resets the input"],
+     ["length_in", "length_out"]),
+])
+def test_report_check_names_and_details_are_pinned(case, checks, details):
+    instance, pairs = _pinned_instances()[case]
+    rep = run_reduction(case.split()[-1], instance, pairs=pairs)
+    assert [name for name, _ in rep.checks] == checks + [ROUNDTRIP]
+    assert list(rep.details) == details
+    assert rep.ok
+
+
+def test_reports_are_frozen():
+    rep = run_reduction("binarize", Instance(cerny(3).automaton))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.checks = ()
+    with pytest.raises(TypeError):
+        rep.details["length_in"] = 0
+    final = binary_chain(2, "subset")[-1]
+    assert isinstance(final.checks, tuple)
+    assert final.details["formula_states"] == 180

@@ -15,7 +15,8 @@ from syncwords.search import (BLIND, BUDGET_EXCEEDED, FOUND, NOT_SYNCHRONIZING,
                               BlindSubsetError, BudgetExceededError,
                               SearchBudget, brute_force_oracle,
                               check_transversal_partition, composition_depth,
-                              constant_target, directing_word, is_blind,
+                              constant_target, count_shortest_reset_words,
+                              directing_word, is_blind,
                               is_swap_congruence, merging_target,
                               relevant_part, replay, shortest_careful_reset,
                               shortest_reset, shortest_subset_reset)
@@ -449,3 +450,16 @@ def test_composition_misses_target():
 def test_composition_validates_generators():
     with pytest.raises(ValueError):
         composition_depth(2, [(0, 5)], constant_target)
+
+
+@pytest.mark.parametrize("member", [5, -1])
+@pytest.mark.parametrize("call", [
+    lambda a, s: shortest_subset_reset(a, s),
+    lambda a, s: relevant_part(a, s),
+    lambda a, s: check_transversal_partition(a, s, [s]),
+    lambda a, s: count_shortest_reset_words(a, s),
+], ids=["subset_reset", "relevant_part", "transversal", "count_words"])
+def test_subset_members_are_range_checked(call, member):
+    a = dfa_from_table([[1, 0], [1, 1]], "ab")
+    with pytest.raises(IndexError, match="subset member out of range"):
+        call(a, {member})
