@@ -183,6 +183,24 @@ def run(a: Automaton, start: Iterable[int], word: Sequence[int]) -> StateSet:
     return current
 
 
+def restrict(a: Automaton, states: Iterable[int]) -> Automaton:
+    """The pfa a induces on a set of its states.
+
+    States are re-indexed in ascending order of their original indices and
+    keep their labels; a transition leaving the set becomes undefined.
+    """
+    domain = sorted(set(states))
+    index = {s: i for i, s in enumerate(domain)}
+    keep = set(domain)
+    delta = tuple(
+        tuple(frozenset(index[t] for t in cell) if cell <= keep else frozenset()
+              for cell in a.delta[s])
+        for s in domain
+    )
+    labels = tuple(a.label(s) for s in domain) if a.state_labels else None
+    return Automaton(PFA, len(domain), a.alphabet, delta, labels)
+
+
 def sink_states(a: Automaton) -> StateSet:
     """States fixed by every letter."""
     one = frozenset

@@ -424,7 +424,7 @@ def _suite_thresholds(args, budget) -> tuple[list[dict], list[dict]]:
 
 def _suite_roundtrips(args, budget) -> tuple[list[dict], list[dict]]:
     rng = random.Random(args.seed)
-    count = args.count or 50
+    count = 50 if args.count is None else args.count
     tallies = {name: [0, 0] for name in
                ("add-sinks", "connect", "double", "restart", "binarize")}
     gaps: dict[str, list[int]] = {name: [] for name in tallies}
@@ -479,7 +479,7 @@ def _suite_roundtrips(args, budget) -> tuple[list[dict], list[dict]]:
 
 def _suite_oracle_cross(args, budget) -> tuple[list[dict], list[dict]]:
     rng = random.Random(args.seed)
-    count = args.count or 100
+    count = 100 if args.count is None else args.count
     agree = 0
     total = 0
     for _ in range(count):
@@ -522,7 +522,7 @@ def _suite_oracle_cross(args, budget) -> tuple[list[dict], list[dict]]:
 
 def _suite_nfa_modes(args, budget) -> tuple[list[dict], list[dict]]:
     rng = random.Random(args.seed)
-    count = args.count or 50
+    count = 50 if args.count is None else args.count
     bad = []
     for i in range(count):
         n = rng.randint(2, 6)
@@ -566,6 +566,8 @@ SUITES = {
 
 def cmd_experiment(args) -> int:
     started = time.perf_counter()
+    if args.count is not None and args.count < 1:
+        raise CliError(f"--count must be at least 1, got {args.count}")
     budget = _budget(args)
     rows, checks = SUITES[args.suite](args, budget)
     report = _report(f"experiment {args.suite}", None, [], checks, started)

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .automata import (DFA, PFA, Alphabet, Automaton, Instance, Pair,
                        StateSet, Word, augmentation_connects,
-                       is_strongly_connected, run)
+                       is_strongly_connected, restrict, run)
 from .families import debruijn_counter
 from .search import (BLIND, BUDGET_EXCEEDED, BlindSubsetError,
                      BudgetExceededError, SearchBudget, SearchResult,
@@ -57,15 +57,16 @@ def _paths_from(a: Automaton, source: int) -> dict[int, Word]:
 
 
 def _sync_target(a: Automaton, subset: StateSet,
-                 budget: Optional[SearchBudget]) -> int:
-    """The state the subset's shortest careful reset word ends in."""
+                 budget: Optional[SearchBudget]) -> tuple[SearchResult, int]:
+    """The subset's shortest careful reset search, and the state its word
+    ends in."""
     res = shortest_subset_reset(a, subset, budget)
     if res.status == BLIND:
         raise BlindSubsetError("subset is blind")
     if res.status == BUDGET_EXCEEDED:
         raise BudgetExceededError("could not synchronize the subset within budget")
     (target,) = run(a, subset, res.witness)
-    return target
+    return res, target
 
 
 def add_sink_determinization(a: Automaton, subset: Iterable[int],
@@ -76,10 +77,15 @@ def add_sink_determinization(a: Automaton, subset: Iterable[int],
     the trap, and adds a finish letter sending only the synchronization
     target to D.  The new subset gains length exactly +1.
     """
+    return _add_sinks(a, frozenset(subset), budget)[0]
+
+
+def _add_sinks(a: Automaton, subset: StateSet, budget: Optional[SearchBudget]
+               ) -> tuple[Instance, SearchResult]:
+    """add_sink_determinization, also returning the search of the subset."""
     if a.kind not in (DFA, PFA):
         raise ValueError("determinization applies to dfa/pfa")
-    subset = frozenset(subset)
-    target = _sync_target(a, subset, budget)
+    res, target = _sync_target(a, subset, budget)
     n = a.n
     drain, trap = n, n + 1
     (finish,) = _fresh_tokens("ω", 1, a.alphabet.symbols)
@@ -94,7 +100,7 @@ def add_sink_determinization(a: Automaton, subset: Iterable[int],
     delta.append(sink_row(trap))
     labels = a.state_labels + ("D", "Dx") if a.state_labels else None
     out = Automaton(DFA, n + 2, letters, tuple(delta), labels)
-    return Instance(out, subset | {drain})
+    return Instance(out, subset | {drain}), res
 
 
 def add_link_letters(a: Automaton, pairs: Sequence[Pair]) -> Instance:
@@ -130,6 +136,12 @@ def swap_doubling(a: Automaton, subset: Iterable[int], pairs: Sequence[Pair],
     a swap congruence, so the doubled subset still cannot shortcut; its
     shortest reset word gains at least +1.
     """
+    return _double(a, frozenset(subset), pairs, budget)[0]
+
+
+def _double(a: Automaton, subset: StateSet, pairs: Sequence[Pair],
+            budget: Optional[SearchBudget]) -> tuple[Instance, SearchResult]:
+    """swap_doubling, also returning the search of the subset."""
     if a.kind != DFA:
         raise ValueError("doubling applies to dfa")
     pairs = list(pairs)
@@ -137,8 +149,7 @@ def swap_doubling(a: Automaton, subset: Iterable[int], pairs: Sequence[Pair],
         raise ValueError("need at least two arcs")
     if not augmentation_connects(a, pairs):
         raise ValueError("the given arcs do not make the automaton strongly connected")
-    subset = frozenset(subset)
-    target = _sync_target(a, subset, budget)
+    res, target = _sync_target(a, subset, budget)
 
     reach = _paths_from(a, target)
     chosen = next((i for i, (r, _) in enumerate(pairs) if r in reach), None)
@@ -192,7 +203,7 @@ def swap_doubling(a: Automaton, subset: Iterable[int], pairs: Sequence[Pair],
     out = Automaton(DFA, 2 * n + 2, letters, tuple(delta), labels)
     partition = tuple(frozenset((s, s + n)) for s in range(n)) + (
         frozenset((east, east_bar)),)
-    return Instance(out, subset | {east}, partition)
+    return Instance(out, subset | {east}, partition), res
 
 
 def add_restart_letter(a: Automaton, subset: Iterable[int],
@@ -213,8 +224,7 @@ def add_restart_letter(a: Automaton, subset: Iterable[int],
             f"not a transversal partition: word {violation.word} reaches "
             f"{sorted(violation.subset)}")
     domain = sorted(set().union(*blocks))
-    index = {s: i for i, s in enumerate(domain)}
-    keep = set(domain)
+    sub = restrict(a, domain)
     (restart,) = _fresh_tokens("α", 1, a.alphabet.symbols)
     letters = Alphabet(a.alphabet.symbols + (restart,))
     anchor = {}
@@ -222,17 +232,9 @@ def add_restart_letter(a: Automaton, subset: Iterable[int],
         (q,) = b & subset
         for s in b:
             anchor[s] = q
-    delta = []
-    for s in domain:
-        row = [
-            frozenset(index[t] for t in cell if t in keep) if cell <= keep
-            else frozenset()
-            for cell in a.delta[s]
-        ]
-        row.append(frozenset((index[anchor[s]],)))
-        delta.append(tuple(row))
-    labels = tuple(a.label(s) for s in domain) if a.state_labels else None
-    out = Automaton(PFA, len(domain), letters, tuple(delta), labels)
+    delta = tuple(row + (frozenset((domain.index(anchor[s]),)),)
+                  for s, row in zip(domain, sub.delta))
+    out = Automaton(PFA, sub.n, letters, delta, sub.state_labels)
     return Instance(out)
 
 
@@ -363,10 +365,11 @@ def run_reduction(name: str, instance: Instance,
     subset = instance.subset
     relation = _RELATIONS.get(name)
     witness_checks = lambda before, after: ()
+    before = None  # the input search, when the transform has made it
     if name == "add-sinks":
         if subset is None:
             raise ValueError("add-sinks needs a subset")
-        out = add_sink_determinization(a, subset, budget)
+        out, before = _add_sinks(a, frozenset(subset), budget)
         checks = [("state count +2", out.automaton.n == a.n + 2),
                   ("letter count +1",
                    len(out.automaton.alphabet) == len(a.alphabet) + 1)]
@@ -382,7 +385,7 @@ def run_reduction(name: str, instance: Instance,
     elif name == "double":
         if subset is None:
             raise ValueError("double needs a subset")
-        out = swap_doubling(a, subset, arcs, budget)
+        out, before = _double(a, frozenset(subset), arcs, budget)
         checks = [("state count 2n+2", out.automaton.n == 2 * a.n + 2),
                   ("strongly connected", is_strongly_connected(out.automaton)),
                   ("swap congruence",
@@ -420,7 +423,8 @@ def run_reduction(name: str, instance: Instance,
     else:
         raise ValueError(f"unknown reduction {name!r}")
 
-    before = _shortest(a, subset, budget)
+    if before is None:
+        before = _shortest(a, subset, budget)
     after = _shortest(out.automaton, out.subset, budget)
     details = {}
     if name == "connect":

@@ -5,7 +5,13 @@ built from two pieces:
 
 * the image kernel `_images(a, careful)`, whose `images(t)` lists the
   image of mask t under each letter in declared alphabet order, with 0
-  where the careful rule forbids the letter;
+  where the careful rule forbids the letter.  It works on packed
+  columns: one int per state holding the state's images under all
+  letters side by side, so an image costs one OR per set bit of t
+  whatever the alphabet size.  A kernel that has served `256 * nbytes`
+  calls (nbytes bytes per mask; as many calls as its byte tables have
+  entries) switches to one table lookup per byte of t, so searches that
+  stay below that count never pay for building the tables;
 * the driver `_bfs(start, children, goal, ...)`, one level-synchronized
   breadth-first search.  It expands `children(node)` in letter order and
   keeps one `parents` dict that doubles as the visited set.  The goal is
@@ -31,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .automata import DFA, PFA, Automaton, StateSet, Word
+from .automata import DFA, PFA, Automaton, StateSet, Word, restrict
 
 FOUND = "found"
 BLIND = "blind"
@@ -75,23 +81,23 @@ class SearchResult:
 
 
 @lru_cache(maxsize=128)
-def transition_masks(a: Automaton) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Per letter: successor mask for each state, and the definedness mask."""
-    succ = []
-    defined = []
-    for x in range(len(a.alphabet)):
-        col = []
-        dmask = 0
-        for s in a.states:
-            m = 0
-            for t in a.delta[s][x]:
-                m |= 1 << t
-            col.append(m)
-            if m:
-                dmask |= 1 << s
-        succ.append(tuple(col))
-        defined.append(dmask)
-    return tuple(succ), tuple(defined)
+def transition_masks(a: Automaton) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The image kernel's tables: per letter, the mask of the states where
+    it is defined; per state, its successor masks under all letters packed
+    in one int, letter x's shifted left by x * n."""
+    defined = [0] * len(a.alphabet)
+    packed = []
+    for s, row in enumerate(a.delta):
+        p = 0
+        shift = 0
+        for x, cell in enumerate(row):
+            if cell:
+                defined[x] |= 1 << s
+                for t in cell:
+                    p |= 1 << (shift + t)
+            shift += a.n
+        packed.append(p)
+    return tuple(defined), tuple(packed)
 
 
 def mask_of(states: Iterable[int]) -> int:
@@ -113,18 +119,13 @@ def _subset_mask(a: Automaton, subset: Iterable[int]) -> int:
     return m
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of a mask, ascending."""
+def set_of(mask: int) -> StateSet:
     out = []
     while mask:
         b = mask & -mask
         out.append(b.bit_length() - 1)
         mask ^= b
-    return out
-
-
-def set_of(mask: int) -> StateSet:
-    return frozenset(_bits(mask))
+    return frozenset(out)
 
 
 def _node_bytes(n: int) -> int:
@@ -132,24 +133,56 @@ def _node_bytes(n: int) -> int:
     return 120 + 2 * (n // 4)
 
 
+def _byte_tables(packed: Sequence[int], nbytes: int) -> list[list[int]]:
+    """For each byte of a mask, the packed image of every value of that byte."""
+    tables = []
+    for i in range(nbytes):
+        table = [0]
+        for v in packed[8 * i:8 * i + 8]:
+            table += [w | v for w in table]  # byte values with this state's bit set
+        tables.append(table)
+    return tables
+
+
 def _images(a: Automaton, careful: bool) -> Callable[[int], list[int]]:
     """The image kernel: `images(t)` lists the image of mask t under each
-    letter in alphabet order, 0 where the careful rule forbids the letter."""
-    succ, defined = transition_masks(a)
-    table = tuple(zip(succ, defined))
+    letter in alphabet order, 0 where the careful rule forbids the letter.
+
+    It ORs the packed columns of t's states, one OR per set bit for all
+    letters at once, and cuts the result into one mask per letter.  After
+    `256 * nbytes` calls, as many as its byte tables have entries, the
+    closure builds those tables and from then on ORs one entry per byte
+    of t.  Building them takes about one step per entry, so the switch
+    never spends on tables more than the search has already spent on
+    calls, and the thousands of tiny searches of a reduction sweep never
+    build them at all.
+    """
+    defined, packed = transition_masks(a)
+    full = (1 << a.n) - 1
+    nbytes = (a.n + 7) // 8
+    letters = [(x * a.n, d) for x, d in enumerate(defined)]  # (shift, defined)
+    switch = 256 * nbytes
+    calls = 0
+    tables: Optional[list[list[int]]] = None
 
     def images(t: int) -> list[int]:
-        bits = _bits(t)
-        out = []
-        for col, dmask in table:
-            if careful and (t & dmask) != t:
-                out.append(0)
-                continue
-            u = 0
-            for i in bits:
-                u |= col[i]
-            out.append(u)
-        return out
+        nonlocal calls, tables
+        u = 0
+        if tables is not None:
+            for table, byte in zip(tables, t.to_bytes(nbytes, "little")):
+                u |= table[byte]
+        else:
+            calls += 1
+            if calls == switch:
+                tables = _byte_tables(packed, nbytes)
+            m = t
+            while m:
+                b = m & -m
+                u |= packed[b.bit_length() - 1]
+                m ^= b
+        if careful:
+            return [(u >> shift) & full if t & d == t else 0 for shift, d in letters]
+        return [(u >> shift) & full for shift, _ in letters]
 
     return images
 
@@ -312,20 +345,8 @@ def relevant_part(a: Automaton, subset: Iterable[int],
             if t not in alive:
                 alive.add(t)
                 stack.append(t)
-    states = sorted(set_of(united))
-    reindex = {s: i for i, s in enumerate(states)}
-    keep = set(states)
-    delta = tuple(
-        tuple(
-            frozenset(reindex[t] for t in a.delta[s][x] if t in keep)
-            if a.delta[s][x] <= keep else frozenset()
-            for x in range(len(a.alphabet))
-        )
-        for s in states
-    )
-    labels = tuple(a.label(s) for s in states) if a.state_labels else None
-    sub = Automaton(PFA, len(states), a.alphabet, delta, labels)
-    return frozenset(states), sub
+    states = set_of(united)
+    return states, restrict(a, states)
 
 
 def is_swap_congruence(a: Automaton, partition: Sequence[Iterable[int]]) -> bool:
@@ -506,8 +527,9 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
     if mode not in ORACLE_MODES:
         raise ValueError(f"unknown oracle mode {mode!r}")
     t0 = time.perf_counter()
-    succ, defined = transition_masks(a)
     letters = range(len(a.alphabet))
+    succ = [[mask_of(a.delta[s][x]) for s in a.states] for x in letters]
+    defined = [mask_of(s for s in a.states if a.delta[s][x]) for x in letters]
     explored = 0
 
     def img(col, m):

@@ -262,6 +262,15 @@ def test_zero_budget_flag_is_rejected(counter_file, capsys, flag):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("suite", ["nfa-modes", "oracle-cross", "reduction-roundtrips"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_experiment_count_below_one_is_rejected(capsys, suite, count):
+    code, out, err = run_cli(capsys, "experiment", suite, "--count", count)
+    assert code == 1
+    assert out == ""
+    assert "--count must be at least 1" in err
+
+
 @pytest.mark.parametrize("name", ["SYNCWORDS_MAX_NODES", "SYNCWORDS_MAX_MEMORY"])
 def test_non_integer_budget_env_is_rejected(counter_file, capsys, monkeypatch, name):
     monkeypatch.setenv(name, "lots")

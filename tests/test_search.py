@@ -9,7 +9,7 @@ from syncwords.automata import dfa_from_table, nfa_from_sets, pfa_from_table, ru
 from syncwords.families import cerny, debruijn_counter
 from syncwords.sampling import (random_careful_subset_pfa,
                                 random_carefully_synchronizing_pfa, random_dfa,
-                                random_nfa, random_subset,
+                                random_nfa, random_pfa, random_subset,
                                 random_synchronizable_subset_dfa)
 from syncwords.search import (BLIND, BUDGET_EXCEEDED, FOUND, NOT_SYNCHRONIZING,
                               BlindSubsetError, BudgetExceededError,
@@ -17,11 +17,32 @@ from syncwords.search import (BLIND, BUDGET_EXCEEDED, FOUND, NOT_SYNCHRONIZING,
                               check_transversal_partition, composition_depth,
                               constant_target, count_shortest_reset_words,
                               directing_word, is_blind,
-                              is_swap_congruence, merging_target,
+                              is_swap_congruence, mask_of, merging_target,
                               relevant_part, replay, shortest_careful_reset,
                               shortest_reset, shortest_subset_reset)
+from syncwords.search import _images
 
 from test_automata import dfas
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([random_dfa, random_pfa, random_nfa]), st.integers(1, 24),
+       st.integers(1, 3), st.booleans(), st.randoms(use_true_random=False))
+def test_image_kernel_matches_delta(sample, n, k, careful, rng):
+    # enough calls to pass the kernel's switch to byte tables at 256 per byte
+    a = sample(rng, n, k)
+    full = (1 << n) - 1
+    singletons = [1 << s for s in range(n)]
+    dense = [rng.getrandbits(n) for _ in range(256 * ((n + 7) // 8))]
+    images = _images(a, careful)
+    for t in [0, full] + singletons + dense + [0, full] + singletons:
+        cells = [a.delta[s] for s in range(n) if t >> s & 1]
+        expected = [
+            0 if careful and not all(row[x] for row in cells)
+            else mask_of(frozenset().union(*(row[x] for row in cells)))
+            for x in range(k)
+        ]
+        assert images(t) == expected
 
 
 def test_one_state_reset_is_empty():
