@@ -509,8 +509,6 @@ def _suite_oracle_cross(args, budget) -> tuple[list[dict], list[dict]]:
             if res.found and res.length <= 10:
                 ok &= oracle.status == FOUND and oracle.length == res.length \
                     and oracle.witness == res.witness
-            elif res.found:
-                ok &= oracle.status == NOT_SYNCHRONIZING
             else:
                 ok &= oracle.status == NOT_SYNCHRONIZING
         agree += ok

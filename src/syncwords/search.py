@@ -22,8 +22,11 @@ Letter order makes the returned witness the lexicographically least
 among all shortest ones.  A search either finds an exact answer,
 reports a definite negative, or stops with `budget_exceeded` on any of
 the node, length and memory caps; it never returns a wrong length.
-The brute-force oracle keeps its own image loop on purpose, so that it
-stays an independent check of the kernel and the driver.
+The brute-force oracle shares neither piece on purpose, so that it stays
+an independent check of the kernel and the driver: it builds its own
+successor columns from the transition table, memoizes each letter's
+image per distinct mask, and still generates, tests and counts every
+word up to its length bound, with no deduplication of words.
 
 The "careful" applicability rule (a letter may be applied to an active
 set only if it is defined on every active state) is used for pfa in all
@@ -34,7 +37,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .automata import DFA, PFA, Automaton, StateSet, Word, restrict
@@ -514,6 +518,36 @@ SUBSET = "subset"
 ORACLE_MODES = (CLASSIC, CAREFUL, SUBSET, D1, D2, D3)
 
 
+class _ImageMemo(dict):
+    """The image of a mask under one letter, keyed by the mask.  A mask
+    seen for the first time runs the bit loop over the letter's successor
+    column once; the memo caches that pure function of the mask and merges
+    no words."""
+
+    def __init__(self, column: Sequence[int]) -> None:
+        super().__init__()
+        self.column = column
+
+    def __missing__(self, m: int) -> int:
+        u = 0
+        t = m
+        while t:
+            b = t & -t
+            u |= self.column[b.bit_length() - 1]
+            t ^= b
+        self[m] = u
+        return u
+
+
+def _decode(code: int, k: int, length: int) -> Word:
+    """The word of the given length whose letters are code's base-k digits."""
+    word = []
+    for _ in range(length):
+        code, x = divmod(code, k)
+        word.append(x)
+    return tuple(reversed(word))
+
+
 def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
                        max_len: int) -> SearchResult:
     """Independent oracle: test every word of length 0..max_len in
@@ -521,79 +555,88 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
 
     No visited-set deduplication or reachability pruning is performed;
     only prefixes that are inapplicable by definition (a careful-mode
-    letter undefined on an active state) are not extended.  Status
-    not_synchronizing means "no hit within max_len".
+    letter undefined on an active state) are not extended.  `explored`
+    counts the tested words of length 1 or more (1 when the empty word
+    hits).  Status not_synchronizing means "no hit within max_len".
+
+    The oracle shares no table or search code with the engine.  Images
+    come from one `_ImageMemo` per letter, built from `a.delta`, which
+    caches per distinct mask: every word is still generated, tested and
+    counted.  A word is carried as its base-k code and decoded on a hit.
     """
     if mode not in ORACLE_MODES:
         raise ValueError(f"unknown oracle mode {mode!r}")
+    if max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
     t0 = time.perf_counter()
-    letters = range(len(a.alphabet))
-    succ = [[mask_of(a.delta[s][x]) for s in a.states] for x in letters]
-    defined = [mask_of(s for s in a.states if a.delta[s][x]) for x in letters]
+    k = len(a.alphabet)
+    letters = range(k)
+    memos = [_ImageMemo([mask_of(a.delta[s][x]) for s in a.states]) for x in letters]
     explored = 0
-
-    def img(col, m):
-        u = 0
-        while m:
-            b = m & -m
-            u |= col[b.bit_length() - 1]
-            m ^= b
-        return u
 
     if mode in (CLASSIC, CAREFUL, SUBSET):
         if mode == SUBSET:
             if subset is None:
                 raise ValueError("subset mode needs a subset")
-            start = mask_of(subset)
+            start = _subset_mask(a, subset)
         else:
             start = (1 << a.n) - 1
-        careful = mode != CLASSIC or a.kind == PFA
         if start.bit_count() == 1:
             return SearchResult(FOUND, 0, (), 1, time.perf_counter() - t0)
-        level: list[tuple[int, tuple[int, ...]]] = [(start, ())]
+        careful = mode != CLASSIC or a.kind == PFA
+        # every letter is allowed on t when t & defined == t; -1 allows all
+        defined = [mask_of(s for s in a.states if a.delta[s][x]) if careful else -1
+                   for x in letters]
+        steps = list(zip(letters, memos, defined))
+        masks, codes = [start], [0]
         for depth in range(1, max_len + 1):
-            nxt = []
-            for t, w in level:
-                for x in letters:
-                    if careful and (t & defined[x]) != t:
+            next_masks, next_codes = [], []
+            for t, code in zip(masks, codes):
+                code *= k
+                for x, memo, d in steps:
+                    if t & d != t:
                         continue
-                    u = img(succ[x], t)
+                    u = memo[t]
                     explored += 1
-                    if u == 0:
-                        continue
-                    if u.bit_count() == 1:
-                        return SearchResult(FOUND, depth, w + (x,), explored,
-                                            time.perf_counter() - t0)
-                    nxt.append((u, w + (x,)))
-            level = nxt
+                    if u & (u - 1):  # two or more states: extend
+                        next_masks.append(u)
+                        next_codes.append(code + x)
+                    elif u:  # one state: a hit; an empty image is dropped
+                        return SearchResult(FOUND, depth, _decode(code + x, k, depth),
+                                            explored, time.perf_counter() - t0)
+            masks, codes = next_masks, next_codes
         return SearchResult(NOT_SYNCHRONIZING, explored=explored,
                             elapsed=time.perf_counter() - t0)
 
-    def hit(node: tuple[int, ...]) -> bool:
-        if mode == D1:
-            return node[0].bit_count() == 1 and all(m == node[0] for m in node)
-        if mode == D2:
-            return all(m == node[0] for m in node)
-        common = ~0
-        for m in node:
-            common &= m
-        return common != 0
+    n = a.n
+    if mode == D1:
+        def hit(node: tuple[int, ...]) -> bool:
+            return node[0].bit_count() == 1 and node.count(node[0]) == n
+    elif mode == D2:
+        def hit(node: tuple[int, ...]) -> bool:
+            return node.count(node[0]) == n
+    else:
+        def hit(node: tuple[int, ...]) -> bool:
+            return reduce(and_, node) != 0
 
-    start_t = tuple(1 << s for s in range(a.n))
+    start_t = tuple(1 << s for s in range(n))
     if hit(start_t):
         return SearchResult(FOUND, 0, (), 1, time.perf_counter() - t0)
-    tlevel: list[tuple[tuple[int, ...], tuple[int, ...]]] = [(start_t, ())]
+    images = [memo.__getitem__ for memo in memos]
+    level = [start_t]
     for depth in range(1, max_len + 1):
+        # nothing is pruned, so the word at index i of a level is i in base k
         nxt = []
-        for node, w in tlevel:
-            for x in letters:
-                new = tuple(img(succ[x], m) for m in node)
-                explored += 1
+        for node in level:
+            for image in images:
+                new = tuple(map(image, node))
                 if hit(new):
-                    return SearchResult(FOUND, depth, w + (x,), explored,
-                                        time.perf_counter() - t0)
-                nxt.append((new, w + (x,)))
-        tlevel = nxt
+                    explored += len(nxt) + 1
+                    return SearchResult(FOUND, depth, _decode(len(nxt), k, depth),
+                                        explored, time.perf_counter() - t0)
+                nxt.append(new)
+        explored += len(nxt)
+        level = nxt
     return SearchResult(NOT_SYNCHRONIZING, explored=explored,
                         elapsed=time.perf_counter() - t0)
 

@@ -20,6 +20,7 @@ from syncwords.search import (BLIND, BUDGET_EXCEEDED, FOUND, NOT_SYNCHRONIZING,
                               is_swap_congruence, mask_of, merging_target,
                               relevant_part, replay, shortest_careful_reset,
                               shortest_reset, shortest_subset_reset)
+from syncwords import search
 from syncwords.search import _images
 
 from test_automata import dfas
@@ -420,6 +421,50 @@ def test_oracle_respects_max_len():
     assert brute_force_oracle(a, None, "classic", 9).length == 9
 
 
+_PFA3 = pfa_from_table([[0, 3, 0], [4, None, 0], [4, 1, 2], [0, 2, 1], [2, 2, 4]], "abc")
+_NFA3 = nfa_from_sets([[{0, 3}, (), {0, 1}], [{1}, {0, 3}, {0}],
+                       [{0, 2, 3}, {2, 3}, {0, 2, 3}], [{3}, {2}, ()]], "abc")
+
+# (automaton, subset, mode, max_len) -> (status, length, witness, explored);
+# the careful pfa cases skip prefixes (226 words tested, not the 363 of all
+# shorter words), and d1 on the nfa tests all 3 + 9 + ... + 729 words
+ORACLE_PINS = [
+    ((cerny(4).automaton, None, "classic", 10), (FOUND, 9, (1, 0, 0, 0, 1, 0, 0, 0, 1), 784)),
+    ((cerny(4).automaton, None, "classic", 8), (NOT_SYNCHRONIZING, None, None, 510)),
+    ((_PFA3, None, "careful", 10), (FOUND, 6, (0, 1, 0, 1, 1, 0), 226)),
+    ((_PFA3, {0, 1, 2, 3}, "subset", 10), (FOUND, 4, (0, 1, 1, 0), 34)),
+    ((_NFA3, None, "d1", 6), (NOT_SYNCHRONIZING, None, None, 1092)),
+    ((_NFA3, None, "d2", 6), (FOUND, 4, (0, 1, 1, 0), 52)),
+    ((_NFA3, None, "d3", 6), (FOUND, 3, (0, 1, 0), 16)),
+]
+
+
+def _oracle_answers():
+    return [(r.status, r.length, r.witness, r.explored)
+            for r in (brute_force_oracle(*args) for args, _ in ORACLE_PINS)]
+
+
+def test_oracle_counts_are_pinned():
+    assert _oracle_answers() == [pin for _, pin in ORACLE_PINS]
+
+
+def test_oracle_is_independent_of_the_engine(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("the oracle called the engine")
+
+    for name in ("transition_masks", "_images", "_bfs"):
+        monkeypatch.setattr(search, name, broken)
+    assert _oracle_answers() == [pin for _, pin in ORACLE_PINS]
+
+
+def test_oracle_rejects_empty_subset_and_negative_length():
+    a = dfa_from_table([[1, 0], [1, 1]], "ab")
+    with pytest.raises(ValueError, match="nonempty"):
+        brute_force_oracle(a, set(), "subset", 5)
+    with pytest.raises(ValueError, match="max_len"):
+        brute_force_oracle(a, None, "classic", -1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(dfas(max_states=5, max_letters=2), st.data())
 def test_oracle_matches_engine(a, data):
@@ -479,7 +524,8 @@ def test_composition_validates_generators():
     lambda a, s: relevant_part(a, s),
     lambda a, s: check_transversal_partition(a, s, [s]),
     lambda a, s: count_shortest_reset_words(a, s),
-], ids=["subset_reset", "relevant_part", "transversal", "count_words"])
+    lambda a, s: brute_force_oracle(a, s, "subset", 5),
+], ids=["subset_reset", "relevant_part", "transversal", "count_words", "oracle"])
 def test_subset_members_are_range_checked(call, member):
     a = dfa_from_table([[1, 0], [1, 1]], "ab")
     with pytest.raises(IndexError, match="subset member out of range"):
