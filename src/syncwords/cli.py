@@ -383,20 +383,12 @@ def _suite_thresholds(args, budget) -> tuple[list[dict], list[dict]]:
         ci = debruijn_counter(m)
         word = counting_word(m)
         formula = (2 ** m - 1) * (ci.k + 1) + 1
-        if m <= 4:
-            res = shortest_subset_reset(ci.automaton, ci.subset, budget)
-            measured = res.length
-            explored = res.explored
-            status = res.status
-        else:
-            image = run(ci.automaton, ci.subset, word)
-            measured = len(word) if image == frozenset((ci.drain,)) else None
-            explored = 0
-            status = "replay"
+        res = shortest_subset_reset(ci.automaton, ci.subset, budget)
+        measured = res.length
         rows.append({
             "m": m, "n": ci.automaton.n, "letters": 4, "mode": "subset",
-            "status": status, "length": measured, "formula_value": formula,
-            "match": measured == formula, "explored": explored,
+            "status": res.status, "length": measured, "formula_value": formula,
+            "match": measured == formula, "explored": res.explored,
         })
         checks.append({"name": f"m={m}: measured length equals predicted word",
                        "pass": measured == len(word),

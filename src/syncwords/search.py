@@ -16,12 +16,36 @@ built from two pieces:
   breadth-first search.  It expands `children(node)` in letter order and
   keeps one `parents` dict that doubles as the visited set.  The goal is
   tested on each node when it is first discovered, and never on `start`,
-  so callers decide the zero-length case themselves.
+  so callers decide the zero-length case themselves.  It answers hit,
+  keep or `_PRUNE`; a pruned node stays in `parents` but is not expanded.
 
 Letter order makes the returned witness the lexicographically least
 among all shortest ones.  A search either finds an exact answer,
 reports a definite negative, or stops with `budget_exceeded` on any of
 the node, length and memory caps; it never returns a wrong length.
+
+The three reset searches (classic, careful, subset) prune by pair
+dominance: a set of three or more states is not expanded when it
+contains a 2-state set discovered before it, on an earlier level or
+earlier on the same level.  This keeps the answer exact.  A careful word
+v that applies to a set T applies to every nonempty S inside T, and
+S.v is a nonempty subset of T.v, so if v resets T it resets S (or a
+prefix of v does).  The word reaching S is shorter than the one reaching
+T, or of equal length and lexicographically smaller, because discovery
+order within a level is the lex order of the words reaching the sets.
+So the least word through S is never worse than the least through T,
+and the shortest length and lex-least witness do not change.  Pairs are
+indexed by one partner mask per state, so the test costs one AND until
+the first pair is discovered.  A general index of discovered sets would
+prune more but costs a subset test against many sets; pairs already
+catch all the pruning of the switch counter.  `relevant_part`,
+`check_transversal_partition`, `count_shortest_reset_words`, the
+directing and composition searches and the oracle stay unpruned: the
+first three need the whole subset graph, and the goals of the others are
+not kept by shrinking a set (empty nfa images, D2, composition targets).
+`explored` counts every discovered set, pruned ones included, and
+`max_nodes` caps that count.
+
 The brute-force oracle shares neither piece on purpose, so that it stays
 an independent check of the kernel and the driver: it builds its own
 successor columns from the transition table, memoizes each letter's
@@ -193,18 +217,24 @@ def _images(a: Automaton, careful: bool) -> Callable[[int], list[int]]:
 
 Parents = dict[Hashable, Optional[tuple[Hashable, int]]]
 
+# A goal's answer for a node that is recorded in `parents` but not expanded.
+_PRUNE = "prune"
+
 
 def _bfs(start: Hashable, children: Callable[[Hashable], Iterable],
-         goal: Callable[[Hashable], bool], budget: SearchBudget,
+         goal: Callable[[Hashable], object], budget: SearchBudget,
          node_bytes: int) -> tuple[Optional[str], Optional[Word], Parents]:
     """The level-synchronized search driver.
 
     `children(node)` yields one child per letter in alphabet order, a
-    falsy child meaning the letter gives no edge.  Returns (status, word,
-    parents): status is FOUND with the word reaching the first goal node
-    (then the last key of `parents`), BUDGET_EXCEEDED, or None when the
-    reachable graph is exhausted.  `parents` maps every discovered node
-    to (parent, letter), and `start` to None.
+    falsy child meaning the letter gives no edge.  `goal(node)`, called
+    once on each newly discovered node, answers falsy to expand the node
+    later, `_PRUNE` never to expand it, and any other truthy value for a
+    hit.  Returns (status, word, parents): status is FOUND with the word
+    reaching the first hit (then the last key of `parents`),
+    BUDGET_EXCEEDED, or None when the reachable graph is exhausted.
+    `parents` maps every discovered node, pruned ones included, to
+    (parent, letter), and `start` to None.
     """
     parents: Parents = {start: None}
     frontier = [start]
@@ -219,7 +249,9 @@ def _bfs(start: Hashable, children: Callable[[Hashable], Iterable],
                 if not child or child in parents:
                     continue
                 parents[child] = (node, x)
-                if goal(child):
+                if verdict := goal(child):
+                    if verdict is _PRUNE:
+                        continue
                     word = [x]
                     while (link := parents[node]) is not None:
                         node, y = link
@@ -238,7 +270,7 @@ def _is_singleton(t: int) -> bool:
 
 
 def _search(start: Hashable, children: Callable[[Hashable], Iterable],
-            goal: Callable[[Hashable], bool], budget: Optional[SearchBudget],
+            goal: Callable[[Hashable], object], budget: Optional[SearchBudget],
             node_bytes: int, negative: str) -> SearchResult:
     """Run the driver and report its outcome, `negative` if exhausted."""
     t0 = time.perf_counter()
@@ -252,11 +284,55 @@ def _search(start: Hashable, children: Callable[[Hashable], Iterable],
 _EMPTY_WORD = SearchResult(FOUND, 0, (), 1)
 
 
+def _pair_goal(n: int) -> Callable[[int], object]:
+    """The goal of the reset searches: hit on a singleton, record every
+    pair, and `_PRUNE` a larger set that contains a recorded pair.
+
+    Each pair {p, q} with p < q is stored as q's bit in `partner[p]`, p's
+    bit in `low` and q's bit in `high`.  Only a set that meets both masks
+    can contain a pair, and then only its states in `low` are looked up.
+    """
+    partner = [0] * n
+    low = high = 0
+
+    def goal(t: int) -> object:
+        nonlocal low, high
+        size = t.bit_count()
+        if size == 1:
+            return True
+        if size == 2:
+            b = t & -t
+            partner[b.bit_length() - 1] |= t ^ b
+            low |= b
+            high |= t ^ b
+            return False
+        m = t & low
+        if m and t & high:
+            while m:
+                b = m & -m
+                if partner[b.bit_length() - 1] & t:
+                    return _PRUNE
+                m ^= b
+        return False
+
+    return goal
+
+
 def _reset_search(a: Automaton, start: int, careful: bool,
                   budget: Optional[SearchBudget], negative: str) -> SearchResult:
+    """The classic, careful and subset searches from mask `start`, pruned
+    by pair dominance (see the module docstring).
+
+    A set of three or more states is discovered, counted in `explored`
+    and capped by `max_nodes`, but not expanded when it contains a pair
+    discovered before it.  Any careful word that resets the set also
+    resets that pair, whose word is shorter or lex-smaller, so the length
+    and witness are those of the unpruned search; `explored` can only be
+    smaller.
+    """
     if _is_singleton(start):
         return _EMPTY_WORD
-    return _search(start, _images(a, careful), _is_singleton, budget,
+    return _search(start, _images(a, careful), _pair_goal(a.n), budget,
                    _node_bytes(a.n), negative)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncwords.automata import dfa_from_table, nfa_from_sets, pfa_from_table, run
-from syncwords.families import cerny, debruijn_counter
+from syncwords.families import cerny, counting_word, debruijn_counter
 from syncwords.sampling import (random_careful_subset_pfa,
                                 random_carefully_synchronizing_pfa, random_dfa,
                                 random_nfa, random_pfa, random_subset,
@@ -90,13 +90,50 @@ def test_results_are_immutable():
     assert res.status == FOUND
 
 
+def _unpruned(a, start, careful):
+    """(status, length, witness, explored) of the driver run without the
+    reset searches' pair pruning, the status None when exhausted."""
+    if start.bit_count() == 1:
+        return FOUND, 0, (), 1
+    status, word, parents = search._bfs(start, _images(a, careful),
+                                        search._is_singleton,
+                                        search.DEFAULT_BUDGET, 1)
+    return status, word and len(word), word, len(parents)
+
+
 def test_explored_counts_are_pinned():
-    # the driver tests the goal on discovery and counts the start node
+    # the driver tests the goal on discovery and counts the start node;
+    # explored counts every discovered set, pruned ones included
     ci = debruijn_counter(4)
     res = shortest_subset_reset(ci.automaton, ci.subset)
-    assert (res.length, res.explored) == (46, 946)
+    assert (res.length, res.explored) == (46, 148)
+    assert _unpruned(ci.automaton, mask_of(ci.subset), True)[1:] == (46, res.witness, 946)
     res = shortest_reset(cerny(12).automaton)
-    assert (res.length, res.explored) == (121, 4084)
+    assert (res.length, res.explored) == (121, 4084)  # nothing is pruned
+    ci = debruijn_counter(8)  # solved exactly: the word of the paper's formula
+    res = shortest_subset_reset(ci.automaton, ci.subset)
+    assert (res.status, res.length, res.explored) == (FOUND, 1021, 3006)
+    assert res.witness == counting_word(8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([random_dfa, random_pfa]), st.integers(1, 9),
+       st.integers(1, 3), st.randoms(use_true_random=False))
+def test_pair_pruning_keeps_reset_answers(sample, n, k, rng):
+    # classic, careful and subset searches against the unpruned driver,
+    # blind and non-synchronizing instances included
+    a = sample(rng, n, k)
+    full = (1 << n) - 1
+    cases = [(shortest_careful_reset(a), full, NOT_SYNCHRONIZING)]
+    if a.kind == "dfa":
+        cases.append((shortest_reset(a), full, NOT_SYNCHRONIZING))
+    for _ in range(4):
+        subset = random_subset(rng, n)
+        cases.append((shortest_subset_reset(a, subset), mask_of(subset), BLIND))
+    for res, start, negative in cases:
+        status, length, witness, explored = _unpruned(a, start, True)
+        assert (res.status, res.length, res.witness) == (status or negative, length, witness)
+        assert res.explored <= explored
 
 
 def test_careful_requires_total_letter():
