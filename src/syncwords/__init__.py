@@ -29,7 +29,7 @@ from .search import (BLIND, BUDGET_EXCEEDED, BlindSubsetError,
                      count_shortest_reset_words, directing_word,
                      is_blind, is_swap_congruence, merging_target,
                      relevant_part, replay, shortest_careful_reset,
-                     shortest_reset, shortest_subset_reset)
+                     shortest_reset, shortest_subset_reset, shortest_word)
 from .textio import ParseError, load, parse, save, serialize
 
 __version__ = "0.1.0"

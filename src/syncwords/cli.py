@@ -17,10 +17,11 @@ import os
 import random
 import sys
 import time
+from itertools import groupby
 from typing import Optional
 
 from .automata import (Instance, augmentation_connects, is_strongly_connected,
-                       run, word_tokens)
+                       run, sink_states, word_tokens)
 from .families import (block_language_shape, cerny, counting_word, de_bruijn,
                        debruijn_counter, switch_value, verify_de_bruijn,
                        window_permutation)
@@ -30,13 +31,15 @@ from .sampling import (random_careful_subset_pfa,
                        random_connectable_pairs, random_dfa, random_nfa,
                        random_pfa, random_subset,
                        random_synchronizable_subset_dfa)
-from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, NOT_SYNCHRONIZING,
+from .search import (BUDGET_EXCEEDED, CAREFUL, CLASSIC, D1, D2, D3,
+                     DEFAULT_BUDGET, FOUND, MODES, NOT_SYNCHRONIZING, SUBSET,
                      BlindSubsetError, BudgetExceededError, SearchBudget,
                      SearchResult, brute_force_oracle,
                      check_transversal_partition, composition_depth,
-                     constant_target, directing_word, is_swap_congruence,
+                     constant_target, count_shortest_reset_words,
+                     directing_word, is_swap_congruence, relevant_part,
                      shortest_careful_reset, shortest_reset,
-                     shortest_subset_reset)
+                     shortest_subset_reset, shortest_word)
 from .textio import ParseError, load, save, serialize
 
 EXIT_OK = 0
@@ -48,9 +51,7 @@ WITNESS_LIMIT = 10_000
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error: reported on stderr with exit code 1."""
 
 
 def _env_int(name: str, default: int) -> int:
@@ -77,7 +78,7 @@ def _budget(args) -> SearchBudget:
 
 
 def _witness_block(instance: Instance, res: SearchResult, full: bool,
-                   limit: int = WITNESS_LIMIT) -> dict:
+                   limit: int) -> dict:
     if res.witness is None:
         return {}
     text = word_tokens(instance.automaton.alphabet, res.witness)
@@ -86,30 +87,10 @@ def _witness_block(instance: Instance, res: SearchResult, full: bool,
     if full or len(res.witness) <= limit:
         out["witness"] = text
     else:
-        runs = []
-        prev, count = None, 0
-        for x in res.witness:
-            if x == prev:
-                count += 1
-            else:
-                if prev is not None:
-                    runs.append([instance.automaton.alphabet.symbols[prev], count])
-                prev, count = x, 1
-        runs.append([instance.automaton.alphabet.symbols[prev], count])
-        out["witness_rle"] = runs
+        symbols = instance.automaton.alphabet.symbols
+        out["witness_rle"] = [[symbols[x], len(list(group))]
+                              for x, group in groupby(res.witness)]
     return out
-
-
-def _result_entry(instance: Instance, mode: str, res: SearchResult,
-                  full_witness: bool, limit: int = WITNESS_LIMIT) -> dict:
-    entry = {
-        "mode": mode,
-        "status": res.status,
-        "length": res.length,
-        "explored": res.explored,
-    }
-    entry.update(_witness_block(instance, res, full_witness, limit))
-    return entry
 
 
 def _instance_digest(instance: Instance) -> dict:
@@ -123,13 +104,13 @@ def _instance_digest(instance: Instance) -> dict:
 
 
 def _report(command: str, instance: Optional[Instance], results: list[dict],
-            checks: list[dict], started: float) -> dict:
+            checks: list[dict]) -> dict:
     return {
         "command": command,
         "instance": _instance_digest(instance) if instance else None,
         "results": results,
         "checks": checks,
-        "timing": {"elapsed_ms": round(1000 * (time.perf_counter() - started), 3)},
+        "timing": None,  # stamped by main, so it stays ahead of any later key
     }
 
 
@@ -140,7 +121,9 @@ def _emit(report: dict, fmt: str) -> None:
         rows = report.get("rows") or report["results"]
         if rows:
             buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+            # the union of the rows' columns, in order of first appearance
+            fields = list(dict.fromkeys(k for row in rows for k in row))
+            writer = csv.DictWriter(buf, fieldnames=fields)
             writer.writeheader()
             writer.writerows(rows)
             print(buf.getvalue(), end="")
@@ -163,55 +146,45 @@ def _status_exit(status: str) -> int:
     return EXIT_NEGATIVE
 
 
+def _checks_exit(checks: list[dict]) -> int:
+    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_NEGATIVE
+
+
 # --- subcommands --------------------------------------------------------------
 
 
-def cmd_shortest(args) -> int:
-    started = time.perf_counter()
+Outcome = tuple[int, dict]  # (exit code, report)
+
+
+def _search_file(args, mode: str, what: str) -> tuple[Instance, SearchResult]:
+    """Load the file and search it in the mode; `what` names the request
+    in the error for a file without the subset it needs."""
     instance = load(args.file)
-    a = instance.automaton
     budget = _budget(args)
+    if mode == SUBSET and instance.subset is None:
+        raise CliError(f"{what} needs a subset section in the file")
+    return instance, shortest_word(instance.automaton, instance.subset, mode, budget)
+
+
+def cmd_shortest(args) -> Outcome:
     mode = args.mode
-    if mode == "classic":
-        res = shortest_reset(a, budget)
-    elif mode == "careful":
-        res = shortest_careful_reset(a, budget)
-    elif mode == "subset":
-        if instance.subset is None:
-            raise CliError("subset mode needs a subset section in the file")
-        res = shortest_subset_reset(a, instance.subset, budget)
-    elif mode in ("d1", "d2", "d3"):
-        res = directing_word(a, mode, budget)
-    else:
-        raise CliError(f"unknown mode {mode!r}")
-    report = _report(f"shortest {mode}", instance,
-                     [_result_entry(instance, mode, res, args.full_witness,
-                                    args.witness_limit)],
-                     [], started)
-    _emit(report, args.format)
-    return _status_exit(res.status)
+    instance, res = _search_file(args, mode, "subset mode")
+    entry = {"mode": mode, "status": res.status, "length": res.length,
+             "explored": res.explored,
+             **_witness_block(instance, res, args.full_witness, args.witness_limit)}
+    return _status_exit(res.status), _report(f"shortest {mode}", instance, [entry], [])
 
 
-def cmd_decide(args) -> int:
-    started = time.perf_counter()
-    instance = load(args.file)
-    a = instance.automaton
-    budget = _budget(args)
-    if args.problem == "subset-sync":
-        if instance.subset is None:
-            raise CliError("subset-sync needs a subset section in the file")
-        res = shortest_subset_reset(a, instance.subset, budget)
-    else:
-        res = shortest_careful_reset(a, budget)
+def cmd_decide(args) -> Outcome:
+    mode = SUBSET if args.problem == "subset-sync" else CAREFUL
+    instance, res = _search_file(args, mode, args.problem)
     answer = {"problem": args.problem, "answer": "yes" if res.found else "no",
               "status": res.status, "explored": res.explored}
-    report = _report(f"decide {args.problem}", instance, [answer], [], started)
-    _emit(report, args.format)
-    return _status_exit(res.status)
+    return (_status_exit(res.status),
+            _report(f"decide {args.problem}", instance, [answer], []))
 
 
-def cmd_build(args) -> int:
-    started = time.perf_counter()
+def cmd_build(args) -> Outcome:
     if args.family == "counter":
         if args.m is None:
             raise CliError("counter needs --m")
@@ -234,7 +207,7 @@ def cmd_build(args) -> int:
         save(args.output, instance)
         rows = [{"family": "cerny", "states": args.n, "letters": 2,
                  "file": args.output}]
-    elif args.family == "debruijn":
+    else:  # debruijn
         if args.k is None:
             raise CliError("debruijn needs --k")
         bits = de_bruijn(args.k)
@@ -243,14 +216,10 @@ def cmd_build(args) -> int:
         rows = [{"family": "debruijn", "order": args.k, "length": len(bits),
                  "sequence": bits, "file": args.output}]
         instance = None
-    else:
-        raise CliError(f"unknown family {args.family!r}")
-    _emit(_report(f"build {args.family}", instance, rows, [], started), args.format)
-    return EXIT_OK
+    return EXIT_OK, _report(f"build {args.family}", instance, rows, [])
 
 
-def cmd_reduce(args) -> int:
-    started = time.perf_counter()
+def cmd_reduce(args) -> Outcome:
     budget = _budget(args)
     chain = args.op == "chain"
     if chain:
@@ -266,11 +235,9 @@ def cmd_reduce(args) -> int:
         try:
             reports = [run_reduction(args.op, instance, budget)]
         except (ValueError, BlindSubsetError) as e:
-            report = _report(command, instance, [],
-                             [{"name": "precondition", "pass": False, "info": str(e)}],
-                             started)
-            _emit(report, args.format)
-            return EXIT_NEGATIVE
+            return EXIT_NEGATIVE, _report(
+                command, instance, [],
+                [{"name": "precondition", "pass": False, "info": str(e)}])
     checks, rows = [], []
     for i, rep in enumerate(reports):
         if args.output:
@@ -283,9 +250,7 @@ def cmd_reduce(args) -> int:
                      "letters": len(rep.output.automaton.alphabet),
                      **{k: v for k, v in rep.details.items()
                         if isinstance(v, (int, str))}})
-    report = _report(command, reports[-1].output, rows, checks, started)
-    _emit(report, args.format)
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_NEGATIVE
+    return _checks_exit(checks), _report(command, reports[-1].output, rows, checks)
 
 
 def _verify_counter(instance: Instance, m: int, xi: Optional[str],
@@ -299,7 +264,6 @@ def _verify_counter(instance: Instance, m: int, xi: Optional[str],
 
     add("file matches the canonical build", serialize(instance) == serialize(ci.instance))
     a = ci.automaton
-    from .automata import sink_states
     add("state count", a.n == 5 * m + ci.k + 3)
     add("sinks are drain and trap",
         sink_states(a) == frozenset((ci.drain, ci.trap)))
@@ -320,7 +284,6 @@ def _verify_counter(instance: Instance, m: int, xi: Optional[str],
         add("search matches the counting word", res.witness == word,
             f"length {res.length}")
         add("witness language shape", block_language_shape(res.witness, ci.k))
-        from .search import count_shortest_reset_words
         add("shortest word is unique",
             count_shortest_reset_words(a, ci.subset, budget) == (len(word), 1))
         values = [switch_value(ci, run(a, ci.subset, word[:j * (ci.k + 1)]))
@@ -330,8 +293,7 @@ def _verify_counter(instance: Instance, m: int, xi: Optional[str],
     return checks
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_verify(args) -> Outcome:
     budget = _budget(args)
     if args.check == "debruijn":
         with open(args.file, encoding="utf-8") as f:
@@ -339,8 +301,7 @@ def cmd_verify(args) -> int:
         k = max(1, len(bits).bit_length() - 1)
         ok = len(bits) == 1 << k and verify_de_bruijn(bits, k)
         checks = [{"name": f"de Bruijn order {k}", "pass": ok}]
-        _emit(_report("verify debruijn", None, [], checks, started), args.format)
-        return EXIT_OK if ok else EXIT_NEGATIVE
+        return _checks_exit(checks), _report("verify debruijn", None, [], checks)
     instance = load(args.file)
     a = instance.automaton
     if args.check == "sc":
@@ -363,15 +324,11 @@ def cmd_verify(args) -> int:
             raise CliError("augmentation check needs a pairs section")
         checks = [{"name": "arcs make the automaton strongly connected",
                    "pass": augmentation_connects(a, instance.pairs)}]
-    elif args.check == "counter":
+    else:  # counter
         if args.m is None:
             raise CliError("counter check needs --m")
         checks = _verify_counter(instance, args.m, args.xi, budget)
-    else:
-        raise CliError(f"unknown check {args.check!r}")
-    report = _report(f"verify {args.check}", instance, [], checks, started)
-    _emit(report, args.format)
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_NEGATIVE
+    return _checks_exit(checks), _report(f"verify {args.check}", instance, [], checks)
 
 
 # --- experiment suites ---------------------------------------------------------
@@ -441,7 +398,6 @@ def _suite_roundtrips(args, budget) -> tuple[list[dict], list[dict]]:
         d = random_pfa(rng, rng.randint(2, 6), rng.randint(2, 3))
         seed_state = rng.randrange(d.n)
         try:
-            from .search import relevant_part
             qrel, _ = relevant_part(d, (seed_state,), budget)
             note("restart", run_reduction(
                 "restart", Instance(d, frozenset((seed_state,)), (qrel,)), budget))
@@ -481,21 +437,18 @@ def _suite_oracle_cross(args, budget) -> tuple[list[dict], list[dict]]:
         if kind == "dfa":
             a = random_dfa(rng, n, letters)
             s = random_subset(rng, n)
-            duties = [("classic", lambda: shortest_reset(a, budget)),
-                      ("subset", lambda: shortest_subset_reset(a, s, budget))]
+            modes = (CLASSIC, SUBSET)
         elif kind == "pfa":
             a = random_pfa(rng, n, letters)
             s = random_subset(rng, n)
-            duties = [("careful", lambda: shortest_careful_reset(a, budget)),
-                      ("subset", lambda: shortest_subset_reset(a, s, budget))]
+            modes = (CAREFUL, SUBSET)
         else:
             a = random_nfa(rng, n, letters)
             s = None
-            duties = [(mode, lambda mode=mode: directing_word(a, mode, budget))
-                      for mode in ("d1", "d2", "d3")]
+            modes = (D1, D2, D3)
         ok = True
-        for mode, engine in duties:
-            res = engine()
+        for mode in modes:
+            res = shortest_word(a, s, mode, budget)
             oracle = brute_force_oracle(a, s, mode, 10)
             total += 1
             if res.found and res.length <= 10:
@@ -554,16 +507,14 @@ SUITES = {
 }
 
 
-def cmd_experiment(args) -> int:
-    started = time.perf_counter()
+def cmd_experiment(args) -> Outcome:
     if args.count is not None and args.count < 1:
         raise CliError(f"--count must be at least 1, got {args.count}")
     budget = _budget(args)
     rows, checks = SUITES[args.suite](args, budget)
-    report = _report(f"experiment {args.suite}", None, [], checks, started)
+    report = _report(f"experiment {args.suite}", None, [], checks)
     report["rows"] = rows
-    _emit(report, args.format)
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_NEGATIVE
+    return _checks_exit(checks), report
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -583,8 +534,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = add_parser("shortest", help="shortest word for a mode")
     sp.add_argument("file")
-    sp.add_argument("--mode", required=True,
-                    choices=("classic", "careful", "subset", "d1", "d2", "d3"))
+    sp.add_argument("--mode", required=True, choices=MODES)
     sp.add_argument("--full-witness", action="store_true")
     sp.add_argument("--witness-limit", type=int, default=WITNESS_LIMIT,
                     help="emit witnesses longer than this as run-length blocks")
@@ -639,23 +589,24 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, report = args.func(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
     except BlindSubsetError as e:
         print(f"negative: {e}", file=sys.stderr)
         return EXIT_NEGATIVE
     except BudgetExceededError as e:
         print(f"budget: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, FileNotFoundError) as e:
+    except (CliError, ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    report["timing"] = {"elapsed_ms": round(1000 * (time.perf_counter() - started), 3)}
+    _emit(report, args.format)
+    return code
 
 
 if __name__ == "__main__":

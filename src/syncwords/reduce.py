@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .automata import (DFA, PFA, Alphabet, Automaton, Instance, Pair,
                        StateSet, Word, augmentation_connects,
                        is_strongly_connected, restrict, run)
-from .families import debruijn_counter
+from .families import counting_word, debruijn_counter
 from .search import (BLIND, BUDGET_EXCEEDED, BlindSubsetError,
                      BudgetExceededError, SearchBudget, SearchResult,
                      check_transversal_partition, is_swap_congruence, replay,
@@ -42,29 +42,46 @@ def _fresh_tokens(base: str, number: int, taken: Iterable[str],
     return list(itertools.islice((t for t in names if t not in taken), number))
 
 
-def _paths_from(a: Automaton, source: int) -> dict[int, Word]:
-    """A shortest word from `source` to each reachable state, the least
-    in letter order among those the breadth-first search meets first."""
-    paths = {source: ()}
-    queue = [source]
+def _chosen_arc(a: Automaton, target: int, pairs: Sequence[Pair]) -> tuple[int, Word]:
+    """The arc swap_doubling routes its fresh pair through: the first of
+    `pairs` whose origin is reachable from the synchronization target.
+    Returns its index and a shortest word from the target to its origin,
+    the least in letter order among those a breadth-first search meets
+    first."""
+    paths = {target: ()}
+    queue = [target]
     for s in queue:
         for x, cell in enumerate(a.delta[s]):
             for t in cell:
                 if t not in paths:
                     paths[t] = paths[s] + (x,)
                     queue.append(t)
-    return paths
+    for i, (r, _) in enumerate(pairs):
+        if r in paths:
+            return i, paths[r]
+    raise ValueError("no arc origin is reachable from the synchronization target")
+
+
+def _shortest(a: Automaton, subset: Optional[StateSet],
+              budget: Optional[SearchBudget]) -> SearchResult:
+    """Careful search of the subset, or of all states when it is None.
+    A search stopped by the budget raises: it decides no length."""
+    if subset is None:
+        res = shortest_careful_reset(a, budget)
+    else:
+        res = shortest_subset_reset(a, subset, budget)
+    if res.status == BUDGET_EXCEEDED:
+        raise BudgetExceededError("could not synchronize the subset within budget")
+    return res
 
 
 def _sync_target(a: Automaton, subset: StateSet,
                  budget: Optional[SearchBudget]) -> tuple[SearchResult, int]:
     """The subset's shortest careful reset search, and the state its word
     ends in."""
-    res = shortest_subset_reset(a, subset, budget)
+    res = _shortest(a, subset, budget)
     if res.status == BLIND:
         raise BlindSubsetError("subset is blind")
-    if res.status == BUDGET_EXCEEDED:
-        raise BudgetExceededError("could not synchronize the subset within budget")
     (target,) = run(a, subset, res.witness)
     return res, target
 
@@ -150,11 +167,7 @@ def _double(a: Automaton, subset: StateSet, pairs: Sequence[Pair],
     if not augmentation_connects(a, pairs):
         raise ValueError("the given arcs do not make the automaton strongly connected")
     res, target = _sync_target(a, subset, budget)
-
-    reach = _paths_from(a, target)
-    chosen = next((i for i, (r, _) in enumerate(pairs) if r in reach), None)
-    if chosen is None:
-        raise ValueError("no arc origin is reachable from the synchronization target")
+    chosen, _ = _chosen_arc(a, target, pairs)
 
     n = a.n
     east, east_bar = 2 * n, 2 * n + 1
@@ -342,14 +355,6 @@ _RELATIONS = {
 }
 
 
-def _shortest(a: Automaton, subset: Optional[StateSet],
-              budget: Optional[SearchBudget]) -> SearchResult:
-    """Careful search of the subset, or of all states when it is None."""
-    if subset is None:
-        return shortest_careful_reset(a, budget)
-    return shortest_subset_reset(a, subset, budget)
-
-
 def run_reduction(name: str, instance: Instance,
                   budget: Optional[SearchBudget] = None,
                   pairs: Optional[Sequence[Pair]] = None) -> ReductionReport:
@@ -359,6 +364,7 @@ def run_reduction(name: str, instance: Instance,
     when the instance has a subset, careful mode otherwise).  The checks
     are the op's structural ones, its length relation when both searches
     find a word, its witness checks, and the serialization round trip.
+    Raises BudgetExceededError when either search stops at the budget.
     """
     a = instance.automaton
     arcs = pairs if pairs is not None else (instance.pairs or ())
@@ -457,9 +463,7 @@ def binary_chain(m: int, variant: str,
         raise ValueError("variant must be subset or careful")
     counter = debruijn_counter(m)
     a = counter.automaton
-    base = shortest_subset_reset(a, counter.subset, budget)
-    if not base.found:  # the counter subset is never blind
-        raise BudgetExceededError("counter subset search exceeds budget")
+    base = counting_word(m)  # the counter subset's lex-least shortest reset word
     if variant == "subset":
         stages = (("double", counter.sc_pairs), ("binarize", None))
     else:
@@ -484,11 +488,9 @@ def binary_chain(m: int, variant: str,
     if variant == "subset":
         # the counter word, a shortest walk from its target to the origin of
         # the arc swap_doubling chose, then that arc's letter
-        (target,) = run(a, counter.subset, base.witness)
-        paths = _paths_from(a, target)
-        chosen = next(i for i, (r, _) in enumerate(counter.sc_pairs) if r in paths)
-        word = encode_word(base.witness + paths[counter.sc_pairs[chosen][0]]
-                           + (len(a.alphabet) + chosen,), letters)
+        (target,) = run(a, counter.subset, base)
+        chosen, walk = _chosen_arc(a, target, counter.sc_pairs)
+        word = encode_word(base + walk + (len(a.alphabet) + chosen,), letters)
         formula = 60 * m + 12 * log_m + 48
         checks = [("final state count matches formula",
                    final.n == 6 * (2 * a.n + 2) == formula)]
@@ -499,7 +501,7 @@ def binary_chain(m: int, variant: str,
         rank = {x: i for i, x in enumerate(_careful_letter_order(pre))}
         restart = len(reports[0].output.automaton.alphabet) - 1
         word = (1,) * (letters - 1) + (0,) + encode_word(
-            [rank[x] for x in (restart,) + base.witness], letters)
+            [rank[x] for x in (restart,) + base], letters)
         formula = 35 * m + 7 * log_m + 21
         checks = [("final state count = letters * relevant states",
                    final.n == letters * pre.n),

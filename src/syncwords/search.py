@@ -72,6 +72,17 @@ BLIND = "blind"
 NOT_SYNCHRONIZING = "not_synchronizing"
 BUDGET_EXCEEDED = "budget_exceeded"
 
+# The modes of `shortest_word` and `brute_force_oracle`: reset words of a
+# dfa, careful reset words of a dfa/pfa, careful reset words of a subset,
+# and the three senses of directing an nfa.
+CLASSIC = "classic"
+CAREFUL = "careful"
+SUBSET = "subset"
+D1 = "d1"
+D2 = "d2"
+D3 = "d3"
+MODES = (CLASSIC, CAREFUL, SUBSET, D1, D2, D3)
+
 
 class BudgetExceededError(RuntimeError):
     """Raised by operations that cannot return a partial answer."""
@@ -544,10 +555,6 @@ def count_shortest_reset_words(a: Automaton, subset: Iterable[int],
 
 # --- directing words for nfa -------------------------------------------------
 
-D1 = "d1"
-D2 = "d2"
-D3 = "d3"
-
 
 def directing_word(a: Automaton, mode: str,
                    budget: Optional[SearchBudget] = None) -> SearchResult:
@@ -586,12 +593,32 @@ def directing_word(a: Automaton, mode: str,
                    NOT_SYNCHRONIZING)
 
 
-# --- brute-force oracle ------------------------------------------------------
+# --- one call per mode ------------------------------------------------------
 
-CLASSIC = "classic"
-CAREFUL = "careful"
-SUBSET = "subset"
-ORACLE_MODES = (CLASSIC, CAREFUL, SUBSET, D1, D2, D3)
+
+def _check_mode(mode: str, subset: Optional[Iterable[int]]) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == SUBSET and subset is None:
+        raise ValueError("subset mode needs a subset")
+
+
+def shortest_word(a: Automaton, subset: Optional[Iterable[int]], mode: str,
+                  budget: Optional[SearchBudget] = None) -> SearchResult:
+    """The engine's answer to the question `brute_force_oracle` answers:
+    the shortest word of the mode, lexicographically least among the
+    shortest ones.  `subset` is read in subset mode only."""
+    _check_mode(mode, subset)
+    if mode == CLASSIC:
+        return shortest_reset(a, budget)
+    if mode == CAREFUL:
+        return shortest_careful_reset(a, budget)
+    if mode == SUBSET:
+        return shortest_subset_reset(a, subset, budget)
+    return directing_word(a, mode, budget)
+
+
+# --- brute-force oracle ------------------------------------------------------
 
 
 class _ImageMemo(dict):
@@ -640,8 +667,7 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
     caches per distinct mask: every word is still generated, tested and
     counted.  A word is carried as its base-k code and decoded on a hit.
     """
-    if mode not in ORACLE_MODES:
-        raise ValueError(f"unknown oracle mode {mode!r}")
+    _check_mode(mode, subset)
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
     t0 = time.perf_counter()
@@ -651,12 +677,7 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
     explored = 0
 
     if mode in (CLASSIC, CAREFUL, SUBSET):
-        if mode == SUBSET:
-            if subset is None:
-                raise ValueError("subset mode needs a subset")
-            start = _subset_mask(a, subset)
-        else:
-            start = (1 << a.n) - 1
+        start = _subset_mask(a, subset) if mode == SUBSET else (1 << a.n) - 1
         if start.bit_count() == 1:
             return SearchResult(FOUND, 0, (), 1, time.perf_counter() - t0)
         careful = mode != CLASSIC or a.kind == PFA

@@ -294,3 +294,27 @@ def test_reduce_budget_exit_code(counter_file, capsys, op):
                            "--max-nodes", "2")
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("variant, header", [
+    ("subset", "stage,states,letters,length_in,length_out,gap,final_states,"
+               "formula_states,witness_length"),
+    ("careful", "stage,states,letters,length_in,length_out,status_in,status_out,"
+                "final_states,formula_states,witness_length"),
+], ids=["subset", "careful"])
+def test_reduce_chain_csv_takes_the_union_of_row_columns(capsys, variant, header):
+    code, out, err = run_cli(capsys, "reduce", "--op", "chain", "--m", "2",
+                             "--variant", variant, "--format", "csv")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + (2 if variant == "subset" else 3)
+
+
+def test_reduce_exits_3_when_its_search_hits_the_budget(tmp_path, capsys):
+    path = str(tmp_path / "counter4.aut")
+    save(path, debruijn_counter(4).instance)
+    code, _, err = run_cli(capsys, "reduce", path, "--op", "binarize",
+                           "--max-nodes", "40")
+    assert code == 3
+    assert "budget" in err

@@ -14,7 +14,8 @@ from syncwords.sampling import (random_careful_subset_pfa,
                                 random_carefully_synchronizing_pfa,
                                 random_connectable_pairs,
                                 random_synchronizable_subset_dfa)
-from syncwords.search import (BlindSubsetError, is_swap_congruence,
+from syncwords.search import (BlindSubsetError, BudgetExceededError,
+                              SearchBudget, is_swap_congruence,
                               shortest_careful_reset, shortest_subset_reset)
 from syncwords.textio import parse, serialize
 
@@ -216,6 +217,14 @@ def test_run_reduction_records_roundtrip():
     assert rep.ok
     assert dict(rep.checks)["output serialization round-trips"]
     assert parse(serialize(rep.output)) == rep.output
+
+
+def test_run_reduction_raises_when_a_search_hits_the_budget():
+    # binarize makes no search of its own: the common tail's input search
+    # of the counter subset is the first to stop
+    with pytest.raises(BudgetExceededError):
+        run_reduction("binarize", debruijn_counter(4).instance,
+                      SearchBudget(max_nodes=40))
 
 
 def test_run_reduction_unknown():

@@ -19,7 +19,8 @@ from syncwords.search import (BLIND, BUDGET_EXCEEDED, FOUND, NOT_SYNCHRONIZING,
                               directing_word, is_blind,
                               is_swap_congruence, mask_of, merging_target,
                               relevant_part, replay, shortest_careful_reset,
-                              shortest_reset, shortest_subset_reset)
+                              shortest_reset, shortest_subset_reset,
+                              shortest_word)
 from syncwords import search
 from syncwords.search import _images
 
@@ -492,6 +493,27 @@ def test_oracle_is_independent_of_the_engine(monkeypatch):
     for name in ("transition_masks", "_images", "_bfs"):
         monkeypatch.setattr(search, name, broken)
     assert _oracle_answers() == [pin for _, pin in ORACLE_PINS]
+
+
+@pytest.mark.parametrize("args, pin", ORACLE_PINS)
+def test_shortest_word_agrees_with_the_oracle(args, pin):
+    a, subset, mode, max_len = args
+    status, length, witness, _ = pin
+    res = shortest_word(a, subset, mode)
+    if status == FOUND:
+        assert (res.status, res.length, res.witness) == (FOUND, length, witness)
+    else:  # no word within max_len
+        assert not res.found or res.length > max_len
+
+
+def test_shortest_word_rejects_what_the_oracle_rejects():
+    a = dfa_from_table([[1, 0], [1, 1]], "ab")
+    for ask in (lambda subset, mode: shortest_word(a, subset, mode),
+                lambda subset, mode: brute_force_oracle(a, subset, mode, 5)):
+        with pytest.raises(ValueError, match="subset mode needs a subset"):
+            ask(None, "subset")
+        with pytest.raises(ValueError, match="unknown mode"):
+            ask({0, 1}, "reset")
 
 
 def test_oracle_rejects_empty_subset_and_negative_length():
