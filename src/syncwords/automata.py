@@ -13,6 +13,7 @@ a pure function, so instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence
 
 DFA = "dfa"
@@ -68,6 +69,31 @@ class Automaton:
             raise ValueError("need at least one state")
         if len(self.delta) != self.n:
             raise ValueError("delta must have one row per state")
+        if not self._table_is_valid():
+            self._raise_first_bad_cell()
+        if self.state_labels is not None:
+            if len(self.state_labels) != self.n:
+                raise ValueError("need one label per state")
+            for lab in self.state_labels:
+                if not lab or any(c.isspace() for c in lab) or "=" in lab:
+                    raise ValueError(f"bad state label {lab!r}")
+
+    def _table_is_valid(self) -> bool:
+        """The whole transition table checked at once: row lengths, then
+        the union of all cells against the states, then the cell sizes."""
+        if set(map(len, self.delta)) != {len(self.alphabet)}:
+            return False
+        cells = list(chain.from_iterable(self.delta))
+        targets = frozenset().union(*cells)
+        if not all(map(isinstance, targets, repeat(int))):
+            return False
+        if targets and (min(targets) < 0 or max(targets) >= self.n):
+            return False
+        sizes = set(map(len, cells))
+        return (self.kind == NFA or max(sizes) <= 1) and (self.kind != DFA or min(sizes) == 1)
+
+    def _raise_first_bad_cell(self) -> None:
+        """Name the first row or cell, in table order, that fails a check."""
         for s, row in enumerate(self.delta):
             if len(row) != len(self.alphabet):
                 raise ValueError(f"state {s}: delta row length != alphabet size")
@@ -78,12 +104,6 @@ class Automaton:
                     raise ValueError(f"dfa must be total: state {s} letter {x}")
                 if self.kind == PFA and len(cell) > 1:
                     raise ValueError(f"pfa cell ({s},{x}) has {len(cell)} successors")
-        if self.state_labels is not None:
-            if len(self.state_labels) != self.n:
-                raise ValueError("need one label per state")
-            for lab in self.state_labels:
-                if not lab or any(c.isspace() for c in lab) or "=" in lab:
-                    raise ValueError(f"bad state label {lab!r}")
 
     @property
     def states(self) -> range:

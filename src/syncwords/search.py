@@ -1,23 +1,27 @@
 """Exact shortest-word searches over the power-set graph, plus verifiers.
 
 Subsets of states are encoded as integer bit masks.  Every search is
-built from two pieces:
+built from two pieces, and both work a whole BFS level at a time:
 
-* the image kernel `_images(a, careful)`, whose `images(t)` lists the
-  image of mask t under each letter in declared alphabet order, with 0
-  where the careful rule forbids the letter.  It works on packed
-  columns: one int per state holding the state's images under all
-  letters side by side, so an image costs one OR per set bit of t
-  whatever the alphabet size.  A kernel that has served `256 * nbytes`
-  calls (nbytes bytes per mask; as many calls as its byte tables have
-  entries) switches to one table lookup per byte of t, so searches that
-  stay below that count never pay for building the tables;
-* the driver `_bfs(start, children, goal, ...)`, one level-synchronized
-  breadth-first search.  It expands `children(node)` in letter order and
-  keeps one `parents` dict that doubles as the visited set.  The goal is
-  tested on each node when it is first discovered, and never on `start`,
-  so callers decide the zero-length case themselves.  It answers hit,
-  keep or `_PRUNE`; a pruned node stays in `parents` but is not expanded.
+* the image kernel `_images(a, careful)`, whose `expand(frontier)` lists
+  the images of a level's masks in one flat list, k per mask (k
+  letters), node-major and in declared alphabet order, with 0 where the
+  careful rule forbids the letter.  It ORs packed columns (one int per
+  state holding its images under all letters) with a bit loop per mask
+  until it has expanded `256 * nbytes` masks (nbytes bytes per mask; as
+  many masks as its byte tables have entries).  After that a wide level
+  runs on the byte tables through `map`s over `operator` functions, so
+  the per-mask work runs in C; searches that stay below that count never
+  pay for the tables;
+* the driver `_bfs(start, expand, goal, ...)`, one level-synchronized
+  breadth-first search.  It calls `expand` once per level and keeps one
+  `parents` dict that doubles as the visited set.  A parent is stored as
+  a position: a new node maps to its position j in the level's flat
+  list, so its parent is `frontier[j // k]` and its letter `j % k`.
+  `goal(fresh)` is called once per level on the new nodes in discovery
+  order, never on `start`, so callers decide the zero-length case
+  themselves.  It answers the index of the first hit and the nodes to
+  expand; a node left out stays in `parents` but is pruned.
 
 Letter order makes the returned witness the lexicographically least
 among all shortest ones.  A search either finds an exact answer,
@@ -35,10 +39,10 @@ T, or of equal length and lexicographically smaller, because discovery
 order within a level is the lex order of the words reaching the sets.
 So the least word through S is never worse than the least through T,
 and the shortest length and lex-least witness do not change.  Pairs are
-indexed by one partner mask per state, so the test costs one AND until
-the first pair is discovered.  A general index of discovered sets would
-prune more but costs a subset test against many sets; pairs already
-catch all the pruning of the switch counter.  `relevant_part`,
+indexed by one partner mask per state; until the first pair is
+discovered a level costs one pass of bit counts in C.  A general index
+of discovered sets would prune more but costs a subset test against
+many sets; pairs already catch all the pruning of the switch counter.  `relevant_part`,
 `check_transversal_partition`, `count_shortest_reset_words`, the
 directing and composition searches and the oracle stay unpruned: the
 first three need the whole subset graph, and the goals of the others are
@@ -62,7 +66,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
-from operator import and_
+from itertools import chain, compress, count, repeat
+from operator import and_, eq, mul, not_, or_, rshift
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .automata import DFA, PFA, Automaton, StateSet, Word, restrict
@@ -168,7 +173,10 @@ def set_of(mask: int) -> StateSet:
 
 
 def _node_bytes(n: int) -> int:
-    # rough per-node estimate: dict slot + int object + parent tuple
+    # The per-node estimate that `max_memory` is checked against, sized for
+    # a dict slot, an int object and a (parent, letter) tuple.  A parent is
+    # a position now, which costs less, but the estimate is kept so that a
+    # memory cap stops a search where it did.
     return 120 + 2 * (n // 4)
 
 
@@ -183,109 +191,154 @@ def _byte_tables(packed: Sequence[int], nbytes: int) -> list[list[int]]:
     return tables
 
 
-def _images(a: Automaton, careful: bool) -> Callable[[int], list[int]]:
-    """The image kernel: `images(t)` lists the image of mask t under each
-    letter in alphabet order, 0 where the careful rule forbids the letter.
+Expand = Callable[[list], list]
 
-    It ORs the packed columns of t's states, one OR per set bit for all
-    letters at once, and cuts the result into one mask per letter.  After
-    `256 * nbytes` calls, as many as its byte tables have entries, the
-    closure builds those tables and from then on ORs one entry per byte
-    of t.  Building them takes about one step per entry, so the switch
-    never spends on tables more than the search has already spent on
-    calls, and the thousands of tiny searches of a reduction sweep never
-    build them at all.
+
+def _images(a: Automaton, careful: bool) -> Expand:
+    """The image kernel: `expand(frontier)` lists the images of a whole
+    level of masks in one flat list, k per mask (k letters), node-major and
+    in alphabet order, with 0 where the careful rule forbids the letter.
+
+    A mask's images come from its states' packed columns: OR-ing them
+    gives t's images under all letters side by side, cut into one mask per
+    letter.  The kernel does this per mask, inline, with one OR per set
+    bit, until it has expanded `256 * nbytes` masks, as many as its byte
+    tables have entries.  From then on a wide level runs on the tables
+    through `map`s over the whole level, so the per-mask work runs in C:
+    the masks are written out as bytes, each byte position is looked up
+    for every mask at once and OR-ed in, and one pass per letter cuts out
+    its images and applies the careful rule, a multiply by
+    `t & defined == t`.  A level is wide when it has at least as many
+    masks as the passes the table path can make, `2 * nbytes + 5 * k`; a
+    narrower one stays on the bit loop, because each pass has a fixed
+    set-up cost that a few masks do not repay.  Building the tables takes
+    about one step per entry, so it never costs more than the expansions
+    already made, and the thousands of tiny searches of a reduction sweep
+    never build them at all.
     """
     defined, packed = transition_masks(a)
-    full = (1 << a.n) - 1
-    nbytes = (a.n + 7) // 8
-    letters = [(x * a.n, d) for x, d in enumerate(defined)]  # (shift, defined)
+    n = a.n
+    full = (1 << n) - 1
+    nbytes = (n + 7) // 8
+    k = len(defined)
+    # (shift, mask of the states where the letter may be applied)
+    letters = [(x * n, d if careful else full) for x, d in enumerate(defined)]
+    last = (k - 1) * n  # the last letter's bits are the top ones: no cut
+    passes = 2 * nbytes + 5 * k
     switch = 256 * nbytes
-    calls = 0
+    expanded = 0
     tables: Optional[list[list[int]]] = None
 
-    def images(t: int) -> list[int]:
-        nonlocal calls, tables
-        u = 0
-        if tables is not None:
-            for table, byte in zip(tables, t.to_bytes(nbytes, "little")):
-                u |= table[byte]
-        else:
-            calls += 1
-            if calls == switch:
-                tables = _byte_tables(packed, nbytes)
-            m = t
-            while m:
-                b = m & -m
-                u |= packed[b.bit_length() - 1]
-                m ^= b
-        if careful:
-            return [(u >> shift) & full if t & d == t else 0 for shift, d in letters]
-        return [(u >> shift) & full for shift, _ in letters]
+    def expand(frontier: list[int]) -> list[int]:
+        nonlocal expanded, tables
+        if expanded < switch or len(frontier) < passes:
+            expanded += len(frontier)
+            flat = []
+            for t in frontier:
+                u = 0
+                m = t
+                while m:
+                    b = m & -m
+                    u |= packed[b.bit_length() - 1]
+                    m ^= b
+                for shift, d in letters:
+                    flat.append((u >> shift) & full if t & d == t else 0)
+            return flat
+        if tables is None:
+            tables = _byte_tables(packed, nbytes)
+        data = b"".join(map(int.to_bytes, frontier, repeat(nbytes), repeat("little")))
+        # data[i::nbytes] holds byte i of every mask
+        unions = list(map(tables[0].__getitem__, data[::nbytes]))
+        for i in range(1, nbytes):
+            unions = list(map(or_, unions, map(tables[i].__getitem__, data[i::nbytes])))
+        flat = [0] * (len(frontier) * k)
+        for x, (shift, d) in enumerate(letters):
+            image = map(rshift, unions, repeat(shift)) if shift else unions
+            if shift != last:
+                image = map(and_, image, repeat(full))
+            if d != full:
+                image = map(mul, image, map(eq, map(and_, frontier, repeat(d)), frontier))
+            flat[x::k] = image
+        return flat
 
-    return images
+    return expand
 
 
-Parents = dict[Hashable, Optional[tuple[Hashable, int]]]
+# A goal's answer for one level: the index of the first hit among the
+# level's new nodes, or None, and the nodes to expand on the next level.
+Goal = Callable[[list], tuple[Optional[int], list]]
+Parents = dict[Hashable, int]
 
-# A goal's answer for a node that is recorded in `parents` but not expanded.
-_PRUNE = "prune"
 
-
-def _bfs(start: Hashable, children: Callable[[Hashable], Iterable],
-         goal: Callable[[Hashable], object], budget: SearchBudget,
+def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: SearchBudget,
          node_bytes: int) -> tuple[Optional[str], Optional[Word], Parents]:
     """The level-synchronized search driver.
 
-    `children(node)` yields one child per letter in alphabet order, a
-    falsy child meaning the letter gives no edge.  `goal(node)`, called
-    once on each newly discovered node, answers falsy to expand the node
-    later, `_PRUNE` never to expand it, and any other truthy value for a
-    hit.  Returns (status, word, parents): status is FOUND with the word
-    reaching the first hit (then the last key of `parents`),
-    BUDGET_EXCEEDED, or None when the reachable graph is exhausted.
-    `parents` maps every discovered node, pruned ones included, to
-    (parent, letter), and `start` to None.
+    `expand(frontier)` lists the children of a whole level in one flat
+    list, k per node, node-major and in letter order; a falsy child means
+    the letter gives no edge.  A child not seen before is recorded in
+    `parents` under its position j in that list, so its parent is
+    `frontier[j // k]` and its letter `j % k`; `start` is recorded under
+    -1.  `goal(fresh)` is called once per level on the level's new nodes
+    in discovery order, and never on `start`.  It answers (hit, keep): the
+    index of the first hit in `fresh`, or None, and the nodes to expand
+    next; a node left out of `keep` is pruned.  Returns (status, word,
+    parents): status is FOUND with the word reaching the first hit (then
+    the last key of `parents`), BUDGET_EXCEEDED, or None when the
+    reachable graph is exhausted.  `parents` holds every node discovered
+    up to the hit, pruned ones included.
     """
-    parents: Parents = {start: None}
+    parents: Parents = {start: -1}
+    frontiers = []  # the expanded levels, for the walk back
     frontier = [start]
-    depth = 0
     while frontier:
-        depth += 1
-        if depth > budget.max_length:
+        if len(frontiers) >= budget.max_length:
             return BUDGET_EXCEEDED, None, parents
-        nxt = []
-        for node in frontier:
-            for x, child in enumerate(children(node)):
-                if not child or child in parents:
-                    continue
-                parents[child] = (node, x)
-                if verdict := goal(child):
-                    if verdict is _PRUNE:
-                        continue
-                    word = [x]
-                    while (link := parents[node]) is not None:
-                        node, y = link
-                        word.append(y)
-                    word.reverse()
-                    return FOUND, tuple(word), parents
-                nxt.append(child)
+        frontiers.append(frontier)
+        flat = expand(frontier)
+        k = len(flat) // len(frontier)
+        fresh = []
+        for j, child in enumerate(flat):
+            if child and child not in parents:
+                parents[child] = j
+                fresh.append(child)
+        if not fresh:
+            break
+        hit, frontier = goal(fresh)
+        if hit is not None:
+            for late in fresh[hit + 1:]:
+                del parents[late]  # found after the hit: never discovered
+            node = fresh[hit]
+            word = []
+            for level in reversed(frontiers):
+                j = parents[node]
+                word.append(j % k)
+                node = level[j // k]
+            word.reverse()
+            return FOUND, tuple(word), parents
         if len(parents) > budget.max_nodes or len(parents) * node_bytes > budget.max_memory:
             return BUDGET_EXCEEDED, None, parents
-        frontier = nxt
     return None, None, parents
+
+
+def _first_hit(hit: Callable[[Hashable], object]) -> Goal:
+    """The goal that expands every node and hits on the first one `hit` accepts."""
+    def goal(fresh: list) -> tuple[Optional[int], list]:
+        return next(compress(count(), map(hit, fresh)), None), fresh
+
+    return goal
 
 
 def _is_singleton(t: int) -> bool:
     return t.bit_count() == 1
 
 
-def _search(start: Hashable, children: Callable[[Hashable], Iterable],
-            goal: Callable[[Hashable], object], budget: Optional[SearchBudget],
-            node_bytes: int, negative: str) -> SearchResult:
+def _search(start: Hashable, expand: Expand, goal: Goal,
+            budget: Optional[SearchBudget], node_bytes: int,
+            negative: str) -> SearchResult:
     """Run the driver and report its outcome, `negative` if exhausted."""
     t0 = time.perf_counter()
-    status, word, parents = _bfs(start, children, goal, budget or DEFAULT_BUDGET,
+    status, word, parents = _bfs(start, expand, goal, budget or DEFAULT_BUDGET,
                                  node_bytes)
     return SearchResult(status or negative, len(word) if word else None, word,
                         len(parents), time.perf_counter() - t0)
@@ -295,36 +348,43 @@ def _search(start: Hashable, children: Callable[[Hashable], Iterable],
 _EMPTY_WORD = SearchResult(FOUND, 0, (), 1)
 
 
-def _pair_goal(n: int) -> Callable[[int], object]:
-    """The goal of the reset searches: hit on a singleton, record every
-    pair, and `_PRUNE` a larger set that contains a recorded pair.
+def _pair_goal(n: int) -> Goal:
+    """The goal of the reset searches: hit on the first singleton, record
+    every pair, and prune a larger set that contains a pair recorded
+    before it, on an earlier level or earlier on its own.
 
     Each pair {p, q} with p < q is stored as q's bit in `partner[p]`, p's
     bit in `low` and q's bit in `high`.  Only a set that meets both masks
     can contain a pair, and then only its states in `low` are looked up.
+    A level without pairs, before the first pair is found, is kept whole.
     """
     partner = [0] * n
     low = high = 0
 
-    def goal(t: int) -> object:
+    def goal(fresh: list[int]) -> tuple[Optional[int], list[int]]:
         nonlocal low, high
-        size = t.bit_count()
-        if size == 1:
-            return True
-        if size == 2:
-            b = t & -t
-            partner[b.bit_length() - 1] |= t ^ b
-            low |= b
-            high |= t ^ b
-            return False
-        m = t & low
-        if m and t & high:
-            while m:
-                b = m & -m
-                if partner[b.bit_length() - 1] & t:
-                    return _PRUNE
-                m ^= b
-        return False
+        sizes = list(map(int.bit_count, fresh))
+        if 1 in sizes:
+            return sizes.index(1), fresh
+        if not low and 2 not in sizes:
+            return None, fresh
+        keep = []
+        for t, size in zip(fresh, sizes):
+            if size == 2:
+                b = t & -t
+                partner[b.bit_length() - 1] |= t ^ b
+                low |= b
+                high |= t ^ b
+            elif (m := t & low) and t & high:
+                while m:
+                    b = m & -m
+                    if partner[b.bit_length() - 1] & t:
+                        break
+                    m ^= b
+                if m:
+                    continue  # contains an earlier pair: pruned
+            keep.append(t)
+        return None, keep
 
     return goal
 
@@ -384,12 +444,12 @@ def replay(a: Automaton, start: Iterable[int], word: Sequence[int]) -> Optional[
     states = frozenset(start)
     if any(s < 0 or s >= a.n for s in states):
         raise IndexError("start state out of range")
-    images = _images(a, True)
+    expand = _images(a, True)
     t = mask_of(states)
     for x in word:
         if not 0 <= x < len(a.alphabet):
             raise IndexError(f"letter {x} out of range")
-        u = images(t)[x]
+        u = expand([t])[x]
         if t and not u:
             return None  # x is undefined on some active state
         t = u
@@ -409,24 +469,25 @@ def relevant_part(a: Automaton, subset: Iterable[int],
         raise ValueError("relevant_part requires a dfa or pfa")
     start = _subset_mask(a, subset)
     images = _images(a, True)
-    edges: dict[int, list[int]] = {}
+    levels: list[tuple[list[int], list[int]]] = []  # (frontier, its images)
 
-    def children(t: int) -> list[int]:
-        edges[t] = images(t)
-        return edges[t]
+    def expand(frontier: list[int]) -> list[int]:
+        levels.append((frontier, images(frontier)))
+        return levels[-1][1]
 
-    status, _, parents = _bfs(start, children, lambda t: False,
+    status, _, parents = _bfs(start, expand, lambda fresh: (None, fresh),
                               budget or DEFAULT_BUDGET, _node_bytes(a.n))
     if status == BUDGET_EXCEEDED:
         raise BudgetExceededError(f"subset graph exceeds budget at {len(parents)} nodes")
     stack = [t for t in parents if _is_singleton(t)]
     if not stack:
         raise BlindSubsetError("subset is blind: no careful reset word exists")
+    k = len(a.alphabet)
     preds: dict[int, list[int]] = {}
-    for t, out in edges.items():
-        for u in out:
+    for frontier, flat in levels:
+        for j, u in enumerate(flat):
             if u:
-                preds.setdefault(u, []).append(t)
+                preds.setdefault(u, []).append(frontier[j // k])
     alive = set(stack)  # sets from which a singleton is reachable
     united = 0
     while stack:
@@ -497,18 +558,22 @@ def check_transversal_partition(a: Automaton, subset: Iterable[int],
         raise ValueError("subset must lie inside the union of the blocks")
     images = _images(a, True)
 
-    def children(t: int) -> list[int]:
-        if _is_singleton(t):
-            return []  # singleton images stay singletons
-        return [0 if u & ~domain else u for u in images(t)]
+    def expand(frontier: list[int]) -> list[int]:
+        return [0 if u & ~domain else u for u in images(frontier)]
 
     def verdict(t: int) -> bool:
         return _is_singleton(t) or all((t & b).bit_count() == 1 for b in blocks)
 
+    # a singleton is not expanded: its images stay singletons
+    def goal(fresh: list[int]) -> tuple[Optional[int], list[int]]:
+        hit = next(compress(count(), map(not_, map(verdict, fresh))), None)
+        return hit, [t for t in fresh if not _is_singleton(t)]
+
     if not verdict(start):
         return TransversalViolation((), set_of(start))
-    status, word, parents = _bfs(start, children, lambda t: not verdict(t),
-                                 budget, _node_bytes(a.n))
+    if _is_singleton(start):
+        return None
+    status, word, parents = _bfs(start, expand, goal, budget, _node_bytes(a.n))
     if status == FOUND:
         return TransversalViolation(word, set_of(next(reversed(parents))))
     if status == BUDGET_EXCEEDED:
@@ -538,17 +603,18 @@ def count_shortest_reset_words(a: Automaton, subset: Iterable[int],
         return None
     if res.length == 0:
         return 0, 1
-    images = _images(a, True)
+    expand = _images(a, True)
+    k = len(a.alphabet)
     ways: dict[int, int] = {start: 1}
     hits = 0
     for _ in range(res.length):
+        counts = list(ways.values())
         nxt: dict[int, int] = {}
-        for t, count in ways.items():
-            for u in images(t):
-                if _is_singleton(u):
-                    hits += count  # only on the last level: none exists earlier
-                elif u:
-                    nxt[u] = nxt.get(u, 0) + count
+        for j, u in enumerate(expand(list(ways))):
+            if _is_singleton(u):
+                hits += counts[j // k]  # only on the last level: none exists earlier
+            elif u:
+                nxt[u] = nxt.get(u, 0) + counts[j // k]
         ways = nxt
     return res.length, hits
 
@@ -567,29 +633,33 @@ def directing_word(a: Automaton, mode: str,
     if mode not in (D1, D2, D3):
         raise ValueError(f"unknown directing mode {mode!r}")
     images = _images(a, False)
+    n = a.n
+    k = len(a.alphabet)
 
-    def children(node: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-        new = zip(*map(images, node))
-        if mode == D2:
-            return new
-        return [u if all(u) else () for u in new]  # an empty image never recovers
+    def expand(frontier: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        flat = images(list(chain.from_iterable(frontier)))  # per node, start, letter
+        children: list[tuple[int, ...]] = [()] * (len(frontier) * k)
+        for x in range(k):
+            column = iter(flat[x::k])
+            new = list(zip(*[column] * n))  # each node's images under x
+            # an empty image never recovers: () is no edge
+            children[x::k] = new if mode == D2 else map(mul, new, map(all, new))
+        return children
 
-    def hit(node: tuple[int, ...]) -> bool:
-        if mode == D1:
-            first = node[0]
-            return first.bit_count() == 1 and all(m == first for m in node)
-        if mode == D2:
-            first = node[0]
-            return all(m == first for m in node)
-        common = ~0
-        for m in node:
-            common &= m
-        return common != 0
+    if mode == D1:
+        def hit(node: tuple[int, ...]) -> bool:
+            return node[0].bit_count() == 1 and node.count(node[0]) == n
+    elif mode == D2:
+        def hit(node: tuple[int, ...]) -> bool:
+            return node.count(node[0]) == n
+    else:
+        def hit(node: tuple[int, ...]) -> bool:
+            return reduce(and_, node) != 0
 
-    start = tuple(1 << s for s in range(a.n))
+    start = tuple(1 << s for s in range(n))
     if hit(start):
         return _EMPTY_WORD
-    return _search(start, children, hit, budget, _node_bytes(a.n) * a.n,
+    return _search(start, expand, _first_hit(hit), budget, _node_bytes(n) * n,
                    NOT_SYNCHRONIZING)
 
 
@@ -773,11 +843,11 @@ def composition_depth(n: int, generators: Sequence[Sequence[int]],
             raise ValueError(f"generator {g!r} is not a function on 0..{n - 1}")
         gens.append(f)
 
-    def children(h: Transform) -> list[Transform]:
-        if not h:  # the empty composition
+    def expand(frontier: list[Transform]) -> list[Transform]:
+        if frontier == [()]:  # the empty composition
             return gens
-        return [tuple(map(h.__getitem__, g)) for g in gens]  # h o g
+        return [tuple(map(h.__getitem__, g)) for h in frontier for g in gens]  # h o g
 
-    res = _search((), children, target, budget, _node_bytes(n) * n,
+    res = _search((), expand, _first_hit(target), budget, _node_bytes(n) * n,
                   NOT_SYNCHRONIZING)
     return replace(res, explored=res.explored - 1)  # () is not a transform

@@ -318,3 +318,17 @@ def test_reduce_exits_3_when_its_search_hits_the_budget(tmp_path, capsys):
                            "--max-nodes", "40")
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle-cross", "--count", "4", "--max-nodes", "5"],
+    ["nfa-modes", "--count", "4", "--max-nodes", "5"],
+    ["composition", "--max-nodes", "60"],
+    ["thresholds", "--max-nodes", "2000"],
+], ids=["oracle-cross", "nfa-modes", "composition", "thresholds"])
+def test_experiment_exits_3_when_a_search_hits_the_budget(capsys, argv):
+    # a search stopped by the budget leaves the suite's check undecided:
+    # it is not counted as a failed check (exit 2)
+    code, out, err = run_cli(capsys, "experiment", *argv)
+    assert (code, out) == (3, "")
+    assert "undecided within budget" in err

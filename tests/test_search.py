@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from syncwords.sampling import (random_careful_subset_pfa,
                                 random_carefully_synchronizing_pfa, random_dfa,
                                 random_nfa, random_pfa, random_subset,
                                 random_synchronizable_subset_dfa)
-from syncwords.search import (BLIND, BUDGET_EXCEEDED, FOUND, NOT_SYNCHRONIZING,
+from syncwords.search import (BLIND, BUDGET_EXCEEDED, CAREFUL, D1, D2, D3, FOUND,
+                              NOT_SYNCHRONIZING, SUBSET,
                               BlindSubsetError, BudgetExceededError,
                               SearchBudget, brute_force_oracle,
                               check_transversal_partition, composition_depth,
@@ -31,20 +33,30 @@ from test_automata import dfas
 @given(st.sampled_from([random_dfa, random_pfa, random_nfa]), st.integers(1, 24),
        st.integers(1, 3), st.booleans(), st.randoms(use_true_random=False))
 def test_image_kernel_matches_delta(sample, n, k, careful, rng):
-    # enough calls to pass the kernel's switch to byte tables at 256 per byte
+    # the first call expands more masks than the switch to byte tables (256
+    # per byte) with the bit loop, so the second call of the same frontier
+    # runs on the tables; both are compared with the transition table
     a = sample(rng, n, k)
     full = (1 << n) - 1
     singletons = [1 << s for s in range(n)]
     dense = [rng.getrandbits(n) for _ in range(256 * ((n + 7) // 8))]
-    images = _images(a, careful)
-    for t in [0, full] + singletons + dense + [0, full] + singletons:
+    frontier = [0, full] + singletons + dense
+    expected = []
+    for t in frontier:
         cells = [a.delta[s] for s in range(n) if t >> s & 1]
-        expected = [
+        expected += [
             0 if careful and not all(row[x] for row in cells)
             else mask_of(frozenset().union(*(row[x] for row in cells)))
             for x in range(k)
         ]
-        assert images(t) == expected
+    with mock.patch.object(search, "_byte_tables", wraps=search._byte_tables) as tables:
+        expand = _images(a, careful)
+        assert expand([]) == []
+        assert expand(frontier) == expected
+        assert tables.call_count == 0
+        assert expand(frontier) == expected
+        assert tables.call_count == 1
+        assert expand(frontier[:1]) == expected[:k]
 
 
 def test_one_state_reset_is_empty():
@@ -96,8 +108,11 @@ def _unpruned(a, start, careful):
     reset searches' pair pruning, the status None when exhausted."""
     if start.bit_count() == 1:
         return FOUND, 0, (), 1
-    status, word, parents = search._bfs(start, _images(a, careful),
-                                        search._is_singleton,
+
+    def goal(fresh):  # hit on the first singleton, expand every set
+        return next((i for i, t in enumerate(fresh) if t.bit_count() == 1), None), fresh
+
+    status, word, parents = search._bfs(start, _images(a, careful), goal,
                                         search.DEFAULT_BUDGET, 1)
     return status, word and len(word), word, len(parents)
 
@@ -115,6 +130,10 @@ def test_explored_counts_are_pinned():
     res = shortest_subset_reset(ci.automaton, ci.subset)
     assert (res.status, res.length, res.explored) == (FOUND, 1021, 3006)
     assert res.witness == counting_word(8)
+    # {1, 2}, found on the hit's level after the hit {0}, is not counted
+    a = dfa_from_table([[0, 1], [0, 2], [0, 1]], "ab")
+    res = shortest_reset(a)
+    assert (res.witness, res.explored) == ((0,), 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -383,6 +402,9 @@ def test_transversal_singleton_subset():
     a = pfa_from_table([[1, None], [1, 0]], "ab")
     qrel, _ = relevant_part(a, {0})
     assert check_transversal_partition(a, {0}, (qrel,)) is None
+    # a singleton's images stay singletons: nothing is traversed, so one
+    # node fits the budget
+    assert check_transversal_partition(a, {0}, (qrel,), SearchBudget(max_nodes=1)) is None
 
 
 def test_transversal_blind_raises():
@@ -493,6 +515,35 @@ def test_oracle_is_independent_of_the_engine(monkeypatch):
     for name in ("transition_masks", "_images", "_bfs"):
         monkeypatch.setattr(search, name, broken)
     assert _oracle_answers() == [pin for _, pin in ORACLE_PINS]
+
+
+# the modes each kind of automaton is searched in; classic needs a dfa,
+# careful and subset a dfa or pfa, and the engine rejects the rest
+_KIND_MODES = {"dfa": search.MODES, "pfa": (CAREFUL, SUBSET, D1, D2, D3),
+               "nfa": (D1, D2, D3)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([random_dfa, random_pfa, random_nfa]), st.integers(1, 7),
+       st.integers(1, 3), st.randoms(use_true_random=False))
+def test_engine_agrees_with_the_oracle(sample, n, k, rng):
+    # the driver's lex order and parent walk against a search that shares
+    # no code with it, in all six modes
+    a = sample(rng, n, k)
+    subset = random_subset(rng, n)
+    for mode in search.MODES:
+        if mode not in _KIND_MODES[a.kind]:
+            with pytest.raises(ValueError):
+                shortest_word(a, subset, mode)
+            continue
+        res = shortest_word(a, subset, mode)
+        oracle = brute_force_oracle(a, subset, mode, 10)
+        if res.found and res.length <= 10:
+            assert (oracle.status, oracle.length, oracle.witness) == \
+                (FOUND, res.length, res.witness)
+        else:  # a negative, or a word longer than the oracle looks
+            assert res.status != BUDGET_EXCEEDED
+            assert oracle.status == NOT_SYNCHRONIZING
 
 
 @pytest.mark.parametrize("args, pin", ORACLE_PINS)
