@@ -79,14 +79,16 @@ class Automaton:
                     raise ValueError(f"bad state label {lab!r}")
 
     def _table_is_valid(self) -> bool:
-        """The whole transition table checked at once: row lengths, then
-        the union of all cells against the states, then the cell sizes."""
+        """The whole transition table checked at once: row lengths, the
+        successors' types, the union of all cells against the states, then
+        the cell sizes."""
         if set(map(len, self.delta)) != {len(self.alphabet)}:
             return False
         cells = list(chain.from_iterable(self.delta))
-        targets = frozenset().union(*cells)
-        if not all(map(isinstance, targets, repeat(int))):
+        # types are checked per successor: a union would merge 1.0 into 1
+        if not all(map(isinstance, chain.from_iterable(cells), repeat(int))):
             return False
+        targets = frozenset().union(*cells)
         if targets and (min(targets) < 0 or max(targets) >= self.n):
             return False
         sizes = set(map(len, cells))

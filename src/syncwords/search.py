@@ -9,7 +9,7 @@ built from two pieces, and both work a whole BFS level at a time:
   careful rule forbids the letter.  It ORs packed columns (one int per
   state holding its images under all letters) with a bit loop per mask
   until it has expanded `256 * nbytes` masks (nbytes bytes per mask; as
-  many masks as its byte tables have entries).  After that a wide level
+  many masks as its byte tables have entries).  After that every level
   runs on the byte tables through `map`s over `operator` functions, so
   the per-mask work runs in C; searches that stay below that count never
   pay for the tables;
@@ -203,18 +203,15 @@ def _images(a: Automaton, careful: bool) -> Expand:
     gives t's images under all letters side by side, cut into one mask per
     letter.  The kernel does this per mask, inline, with one OR per set
     bit, until it has expanded `256 * nbytes` masks, as many as its byte
-    tables have entries.  From then on a wide level runs on the tables
+    tables have entries.  From then on every level runs on the tables
     through `map`s over the whole level, so the per-mask work runs in C:
     the masks are written out as bytes, each byte position is looked up
     for every mask at once and OR-ed in, and one pass per letter cuts out
     its images and applies the careful rule, a multiply by
-    `t & defined == t`.  A level is wide when it has at least as many
-    masks as the passes the table path can make, `2 * nbytes + 5 * k`; a
-    narrower one stays on the bit loop, because each pass has a fixed
-    set-up cost that a few masks do not repay.  Building the tables takes
-    about one step per entry, so it never costs more than the expansions
-    already made, and the thousands of tiny searches of a reduction sweep
-    never build them at all.
+    `t & defined == t`.  Building the tables takes about one step per
+    entry, so it never costs more than the expansions already made, and
+    the thousands of tiny searches of a reduction sweep never build them
+    at all.
     """
     defined, packed = transition_masks(a)
     n = a.n
@@ -224,14 +221,13 @@ def _images(a: Automaton, careful: bool) -> Expand:
     # (shift, mask of the states where the letter may be applied)
     letters = [(x * n, d if careful else full) for x, d in enumerate(defined)]
     last = (k - 1) * n  # the last letter's bits are the top ones: no cut
-    passes = 2 * nbytes + 5 * k
     switch = 256 * nbytes
     expanded = 0
     tables: Optional[list[list[int]]] = None
 
     def expand(frontier: list[int]) -> list[int]:
         nonlocal expanded, tables
-        if expanded < switch or len(frontier) < passes:
+        if expanded < switch:
             expanded += len(frontier)
             flat = []
             for t in frontier:
@@ -286,7 +282,9 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: SearchBudget,
     parents): status is FOUND with the word reaching the first hit (then
     the last key of `parents`), BUDGET_EXCEEDED, or None when the
     reachable graph is exhausted.  `parents` holds every node discovered
-    up to the hit, pruned ones included.
+    up to the hit, pruned ones included.  The node and memory caps are
+    checked after every level without a hit, a level with no new nodes
+    included.
     """
     parents: Parents = {start: -1}
     frontiers = []  # the expanded levels, for the walk back
@@ -302,9 +300,7 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: SearchBudget,
             if child and child not in parents:
                 parents[child] = j
                 fresh.append(child)
-        if not fresh:
-            break
-        hit, frontier = goal(fresh)
+        hit, frontier = goal(fresh) if fresh else (None, fresh)
         if hit is not None:
             for late in fresh[hit + 1:]:
                 del parents[late]  # found after the hit: never discovered
@@ -558,21 +554,22 @@ def check_transversal_partition(a: Automaton, subset: Iterable[int],
         raise ValueError("subset must lie inside the union of the blocks")
     images = _images(a, True)
 
+    # a singleton is not expanded: its images stay singletons.  The goal
+    # keeps no singleton, so only a singleton start reaches `expand`.
     def expand(frontier: list[int]) -> list[int]:
+        if _is_singleton(frontier[0]):
+            return [0] * len(a.alphabet)
         return [0 if u & ~domain else u for u in images(frontier)]
 
     def verdict(t: int) -> bool:
         return _is_singleton(t) or all((t & b).bit_count() == 1 for b in blocks)
 
-    # a singleton is not expanded: its images stay singletons
     def goal(fresh: list[int]) -> tuple[Optional[int], list[int]]:
         hit = next(compress(count(), map(not_, map(verdict, fresh))), None)
         return hit, [t for t in fresh if not _is_singleton(t)]
 
     if not verdict(start):
         return TransversalViolation((), set_of(start))
-    if _is_singleton(start):
-        return None
     status, word, parents = _bfs(start, expand, goal, budget, _node_bytes(a.n))
     if status == FOUND:
         return TransversalViolation(word, set_of(next(reversed(parents))))

@@ -199,14 +199,15 @@ def _table(kind, n, letters, rows):
     ("dfa", [[1], [2]], "state 1 letter 0: successor out of range"),
     ("nfa", [[(0,), (-1,)], [(), ()]], "state 0 letter 1: successor out of range"),
     ("pfa", [[(0,), ()], [(1.0,), ()]], "state 1 letter 0: successor out of range"),
+    ("pfa", [[(1,), ()], [(1.0,), ()]], "state 1 letter 0: successor out of range"),
     ("dfa", [[(0,), (1,)], [(0,), ()]], "dfa must be total: state 1 letter 1"),
     ("pfa", [[(0,), ()], [(), (0, 1)]], "pfa cell (1,1) has 2 successors"),
     ("nfa", [[(0,), (1,)], [(0,)]], "state 1: delta row length != alphabet size"),
     # the first bad cell in table order is named
     ("dfa", [[(0,), ()], [(5,), (0,)]], "dfa must be total: state 0 letter 1"),
     ("pfa", [[(0, 1), (0,)], [(0,), (7,)]], "pfa cell (0,0) has 2 successors"),
-], ids=["range", "negative", "not-int", "dfa-total", "pfa-two", "row-length",
-        "first-of-two", "first-row-first"])
+], ids=["range", "negative", "not-int", "not-int-after-int", "dfa-total",
+        "pfa-two", "row-length", "first-of-two", "first-row-first"])
 def test_table_errors_name_the_first_bad_cell(kind, rows, message):
     letters = "ab"[:max(map(len, rows))]
     rows = [[(c,) if isinstance(c, int) else c for c in row] for row in rows]

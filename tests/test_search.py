@@ -96,6 +96,15 @@ def test_budget_exceeded_on_length():
     assert res.status == BUDGET_EXCEEDED
 
 
+def test_budget_is_checked_on_a_level_with_no_new_sets():
+    # the full set maps to itself, so the first level discovers nothing;
+    # the memory cap is below one set's estimate and still stops the search
+    a = dfa_from_table([[0], [1]], "a")
+    assert shortest_reset(a).status == NOT_SYNCHRONIZING
+    res = shortest_reset(a, SearchBudget(max_memory=1))
+    assert (res.status, res.explored) == (BUDGET_EXCEEDED, 1)
+
+
 def test_results_are_immutable():
     res = shortest_reset(cerny(3).automaton)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -405,6 +414,9 @@ def test_transversal_singleton_subset():
     # a singleton's images stay singletons: nothing is traversed, so one
     # node fits the budget
     assert check_transversal_partition(a, {0}, (qrel,), SearchBudget(max_nodes=1)) is None
+    # the start alone is over a memory cap below one node's estimate
+    with pytest.raises(BudgetExceededError):
+        check_transversal_partition(a, {0}, (qrel,), SearchBudget(max_memory=1))
 
 
 def test_transversal_blind_raises():
