@@ -54,7 +54,13 @@ The brute-force oracle shares neither piece on purpose, so that it stays
 an independent check of the kernel and the driver: it builds its own
 successor columns from the transition table, memoizes each letter's
 image per distinct mask, and still generates, tests and counts every
-word up to its length bound, with no deduplication of words.
+word up to its length bound, with no deduplication of words.  In the
+directing modes it carries each word as the number of the node (the
+tuple of per-start images) the word reaches: a node is numbered and
+tested once, each letter's successor is memoized per number, and a level
+lists one number per word, built and tested a letter at a time through
+`map`s.  The same node reached by two words still appears twice, so no
+word is merged or skipped.
 
 The "careful" applicability rule (a letter may be applied to an active
 set only if it is defined on every active state) is used for pfa in all
@@ -709,6 +715,25 @@ class _ImageMemo(dict):
         return u
 
 
+class _StepMemo(dict):
+    """The number of a node's successor under one letter, keyed by the
+    node's number.  A number seen for the first time builds the successor's
+    tuple of per-start images from the letter's `_ImageMemo`, and
+    `numbered` numbers that tuple; the memo caches that pure function of
+    the node and merges no words."""
+
+    def __init__(self, image: Callable[[int], int], nodes: list[tuple[int, ...]],
+                 numbered: Callable[[tuple[int, ...]], int]) -> None:
+        super().__init__()
+        self.image = image
+        self.nodes = nodes
+        self.numbered = numbered
+
+    def __missing__(self, i: int) -> int:
+        j = self[i] = self.numbered(tuple(map(self.image, self.nodes[i])))
+        return j
+
+
 def _decode(code: int, k: int, length: int) -> Word:
     """The word of the given length whose letters are code's base-k digits."""
     word = []
@@ -732,7 +757,17 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
     The oracle shares no table or search code with the engine.  Images
     come from one `_ImageMemo` per letter, built from `a.delta`, which
     caches per distinct mask: every word is still generated, tested and
-    counted.  A word is carried as its base-k code and decoded on a hit.
+    counted.
+
+    The classic, careful and subset modes walk each level word by word,
+    carrying a word as its mask and its base-k code.  The directing modes
+    number each distinct node (a tuple of per-start images) and test it
+    once; one `_StepMemo` per letter maps a node's number to its
+    successor's.  A level lists one number per word, built a letter at a
+    time through `map`s, so no word is merged or skipped and the word at
+    index i of a level is i in base k.  The careful branch stays per
+    word: a node there already is one int, and a level-at-a-time version
+    of it was no faster.
     """
     _check_mode(mode, subset)
     if max_len < 0:
@@ -786,19 +821,32 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
     start_t = tuple(1 << s for s in range(n))
     if hit(start_t):
         return SearchResult(FOUND, 0, (), 1, time.perf_counter() - t0)
-    images = [memo.__getitem__ for memo in memos]
-    level = [start_t]
+    # node number -> tuple of per-start images, tuple -> number, number -> hit
+    nodes = [start_t]
+    number = {start_t: 0}
+    hits = [False]
+
+    def numbered(node: tuple[int, ...]) -> int:
+        j = number.get(node)
+        if j is None:
+            j = number[node] = len(nodes)
+            nodes.append(node)
+            hits.append(hit(node))
+        return j
+
+    steps = [_StepMemo(memo.__getitem__, nodes, numbered).__getitem__ for memo in memos]
+    level = [0]
     for depth in range(1, max_len + 1):
-        # nothing is pruned, so the word at index i of a level is i in base k
-        nxt = []
-        for node in level:
-            for image in images:
-                new = tuple(map(image, node))
-                if hit(new):
-                    explored += len(nxt) + 1
-                    return SearchResult(FOUND, depth, _decode(len(nxt), k, depth),
-                                        explored, time.perf_counter() - t0)
-                nxt.append(new)
+        # one entry per word: nothing is pruned, so the word at index i of a
+        # level is i in base k
+        nxt = [0] * (len(level) * k)
+        for x, step in enumerate(steps):
+            nxt[x::k] = map(step, level)
+        i = next(compress(count(), map(hits.__getitem__, nxt)), None)
+        if i is not None:
+            explored += i + 1
+            return SearchResult(FOUND, depth, _decode(i, k, depth), explored,
+                                time.perf_counter() - t0)
         explored += len(nxt)
         level = nxt
     return SearchResult(NOT_SYNCHRONIZING, explored=explored,

@@ -496,10 +496,13 @@ def test_oracle_respects_max_len():
 _PFA3 = pfa_from_table([[0, 3, 0], [4, None, 0], [4, 1, 2], [0, 2, 1], [2, 2, 4]], "abc")
 _NFA3 = nfa_from_sets([[{0, 3}, (), {0, 1}], [{1}, {0, 3}, {0}],
                        [{0, 2, 3}, {2, 3}, {0, 2, 3}], [{3}, {2}, ()]], "abc")
+_NFA_D1 = nfa_from_sets([[{0}, {0}, {1}], [(), {2}, ()], [{0, 2}, {0, 1, 2}, {0, 1}]],
+                        "abc")
 
 # (automaton, subset, mode, max_len) -> (status, length, witness, explored);
 # the careful pfa cases skip prefixes (226 words tested, not the 363 of all
-# shorter words), and d1 on the nfa tests all 3 + 9 + ... + 729 words
+# shorter words), d1 on _NFA3 tests all 3 + 9 + ... + 729 words, and d1 on
+# _NFA_D1 hits at index 150 of its 243 words of length 5 (3 + ... + 81 + 151)
 ORACLE_PINS = [
     ((cerny(4).automaton, None, "classic", 10), (FOUND, 9, (1, 0, 0, 0, 1, 0, 0, 0, 1), 784)),
     ((cerny(4).automaton, None, "classic", 8), (NOT_SYNCHRONIZING, None, None, 510)),
@@ -508,6 +511,7 @@ ORACLE_PINS = [
     ((_NFA3, None, "d1", 6), (NOT_SYNCHRONIZING, None, None, 1092)),
     ((_NFA3, None, "d2", 6), (FOUND, 4, (0, 1, 1, 0), 52)),
     ((_NFA3, None, "d3", 6), (FOUND, 3, (0, 1, 0), 16)),
+    ((_NFA_D1, None, "d1", 6), (FOUND, 5, (1, 2, 1, 2, 0), 271)),
 ]
 
 
@@ -524,7 +528,8 @@ def test_oracle_is_independent_of_the_engine(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("the oracle called the engine")
 
-    for name in ("transition_masks", "_images", "_bfs"):
+    for name in ("transition_masks", "_images", "_bfs", "directing_word", "_first_hit",
+                 "_search"):
         monkeypatch.setattr(search, name, broken)
     assert _oracle_answers() == [pin for _, pin in ORACLE_PINS]
 

@@ -121,3 +121,36 @@ def test_serialization_is_deterministic():
     assert serialize(inst) == serialize(inst)
     rebuilt = parse(serialize(inst))
     assert serialize(rebuilt) == serialize(inst)
+
+
+# Lines of the format, well and badly formed, with state counts kept small:
+# the parser builds a row per declared state.
+_HEADERS = st.sampled_from([
+    "kind dfa\nstates 3\nletters a b", "kind pfa\nstates 3\nletters a b",
+    "kind nfa\nstates 2\nletters a", "kind dfa\nstates 1\nletters a", "",
+])
+_LINES = st.sampled_from([
+    "kind dfa", "kind pfa", "kind nfa", "kind", "kind dfa pfa", "kind xfa",
+    "states 1", "states 3", "states 0", "states -2", "states x", "states 1 2",
+    "letters a b", "letters a a", "letters", "letters a # b",
+    "0 a 0", "0 a 1", "1 b 0,2", "2 a -", "0 a 0,0", "0 c 1", "3 a 0", "-1 a 0", "0 a",
+    "x a 0", "0 a 1,,2", "0 a 1,x", "0 b - -",
+    "subset 0 2", "subset", "subset 7", "subset a",
+    "partition 0,1|2", "partition |", "partition 0,,1", "partition 9",
+    "pairs 0:1", "pairs 0-1", "pairs 0:1:2", "pairs :",
+    "labels 0=p", "labels 0", "labels 0==", "labels 9=q",
+    "# comment", "", "   ",
+])
+_TEXTS = st.one_of(
+    st.text(),
+    st.builds(lambda head, lines: "\n".join([head, *lines]), _HEADERS,
+              st.lists(st.one_of(_LINES, st.text(max_size=12)), max_size=12)))
+
+
+@settings(max_examples=200)
+@given(_TEXTS)
+def test_parse_raises_only_parse_error(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
