@@ -75,7 +75,8 @@ class Automaton:
             if len(self.state_labels) != self.n:
                 raise ValueError("need one label per state")
             for lab in self.state_labels:
-                if not lab or any(c.isspace() for c in lab) or "=" in lab:
+                # the text format splits on whitespace and `=` and cuts `#`
+                if not lab or any(c.isspace() for c in lab) or "=" in lab or "#" in lab:
                     raise ValueError(f"bad state label {lab!r}")
 
     def _table_is_valid(self) -> bool:

@@ -55,12 +55,19 @@ an independent check of the kernel and the driver: it builds its own
 successor columns from the transition table, memoizes each letter's
 image per distinct mask, and still generates, tests and counts every
 word up to its length bound, with no deduplication of words.  In the
-directing modes it carries each word as the number of the node (the
-tuple of per-start images) the word reaches: a node is numbered and
-tested once, each letter's successor is memoized per number, and a level
-lists one number per word, built and tested a letter at a time through
-`map`s.  The same node reached by two words still appears twice, so no
-word is merged or skipped.
+classic, careful and subset modes it memoizes per distinct mask the
+mask's whole expansion in letter order: the first letter whose image is
+a singleton, the number of applicable letters up to it, and the images
+of two or more states to extend.  These are pure functions of the mask,
+so every word ending in the mask gets the answer a letter-by-letter test
+would give it.  In the directing modes it carries each word as the
+number of the node (the tuple of per-start images) the word reaches: a
+node is numbered and tested once, each letter's successor is memoized
+per number, and a level lists one number per word, built a letter at a
+time through `map`s.  A level is scanned for a hit only once a hit node
+has been numbered: a node is numbered while the first level holding it
+is built, so no earlier level can hold a hit.  The same node reached by
+two words still appears twice, so no word is merged or skipped.
 
 The "careful" applicability rule (a letter may be applied to an active
 set only if it is defined on every active state) is used for pfa in all
@@ -288,10 +295,17 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: SearchBudget,
     parents): status is FOUND with the word reaching the first hit (then
     the last key of `parents`), BUDGET_EXCEEDED, or None when the
     reachable graph is exhausted.  `parents` holds every node discovered
-    up to the hit, pruned ones included.  The node and memory caps are
-    checked after every level without a hit, a level with no new nodes
-    included.
+    up to the hit, pruned ones included.
+
+    The node and memory caps are exact: `parents` never holds more than
+    `min(max_nodes, max_memory // node_bytes)` nodes, `start` aside.  Once
+    per level, before `goal`, the newest new nodes past the cap are dropped
+    as never discovered; the level's goal sees only those within it, so a
+    hit past the cap is not found, and the search stops with
+    BUDGET_EXCEEDED.  `start` is never dropped: a cap below one node's
+    estimate stops the search on its first level.
     """
+    cap = min(budget.max_nodes, budget.max_memory // node_bytes)
     parents: Parents = {start: -1}
     frontiers = []  # the expanded levels, for the walk back
     frontier = [start]
@@ -306,6 +320,12 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: SearchBudget,
             if child and child not in parents:
                 parents[child] = j
                 fresh.append(child)
+        over = len(parents) - cap
+        if over > 0:  # the newest nodes past the cap are never discovered
+            keep = max(len(fresh) - over, 0)  # start, not in fresh, stays
+            for late in fresh[keep:]:
+                del parents[late]
+            del fresh[keep:]
         hit, frontier = goal(fresh) if fresh else (None, fresh)
         if hit is not None:
             for late in fresh[hit + 1:]:
@@ -318,7 +338,7 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: SearchBudget,
                 node = level[j // k]
             word.reverse()
             return FOUND, tuple(word), parents
-        if len(parents) > budget.max_nodes or len(parents) * node_bytes > budget.max_memory:
+        if over > 0:
             return BUDGET_EXCEEDED, None, parents
     return None, None, parents
 
@@ -715,6 +735,39 @@ class _ImageMemo(dict):
         return u
 
 
+class _ExpansionMemo(dict):
+    """A mask's expansion in the classic, careful and subset modes, keyed by
+    the mask: (hit, tested, extend).  Letters are taken in order, skipping
+    those the careful rule forbids on the mask.  `hit` is the first letter
+    whose image is one state, or None; `tested` counts the applicable
+    letters up to and including it, or all of them when there is none; and
+    `extend` lists the (letter, image) pairs before it whose image has two
+    or more states.  A mask seen for the first time reads the per-letter
+    `_ImageMemo`s once; the memo caches that pure function of the mask and
+    merges no words."""
+
+    def __init__(self, steps: Sequence[tuple[int, _ImageMemo, int]]) -> None:
+        super().__init__()
+        self.steps = steps
+
+    def __missing__(self, t: int) -> tuple[Optional[int], int, list[tuple[int, int]]]:
+        hit = None
+        tested = 0
+        extend = []
+        for x, memo, d in self.steps:
+            if t & d != t:
+                continue
+            u = memo[t]
+            tested += 1
+            if u & (u - 1):  # two or more states: extend
+                extend.append((x, u))
+            elif u:  # one state: a hit; an empty image is dropped
+                hit = x
+                break
+        e = self[t] = (hit, tested, extend)
+        return e
+
+
 class _StepMemo(dict):
     """The number of a node's successor under one letter, keyed by the
     node's number.  A number seen for the first time builds the successor's
@@ -760,14 +813,22 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
     counted.
 
     The classic, careful and subset modes walk each level word by word,
-    carrying a word as its mask and its base-k code.  The directing modes
-    number each distinct node (a tuple of per-start images) and test it
-    once; one `_StepMemo` per letter maps a node's number to its
-    successor's.  A level lists one number per word, built a letter at a
-    time through `map`s, so no word is merged or skipped and the word at
-    index i of a level is i in base k.  The careful branch stays per
-    word: a node there already is one int, and a level-at-a-time version
-    of it was no faster.
+    carrying a word as its mask and its base-k code.  One `_ExpansionMemo`
+    holds each distinct mask's expansion: the letter of its first
+    singleton image, the count of applicable letters up to that letter,
+    and the (letter, image) pairs to extend.  A word then costs one lookup,
+    one addition to `explored` and its appends, and is counted exactly as
+    a test of each applicable letter in order would count it.
+
+    The directing modes number each distinct node (a tuple of per-start
+    images) and test it once; one `_StepMemo` per letter maps a node's
+    number to its successor's.  A level lists one number per word, built a
+    letter at a time through `map`s, so no word is merged or skipped and
+    the word at index i of a level is i in base k.  `numbered` records
+    when it numbers a hit node, and only then is the level scanned for its
+    first hit: nodes are numbered only while a level is built, so that
+    level is the first that can hold a hit, and every earlier level is
+    counted whole.
     """
     _check_mode(mode, subset)
     if max_len < 0:
@@ -786,23 +847,20 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
         # every letter is allowed on t when t & defined == t; -1 allows all
         defined = [mask_of(s for s in a.states if a.delta[s][x]) if careful else -1
                    for x in letters]
-        steps = list(zip(letters, memos, defined))
+        expansions = _ExpansionMemo(list(zip(letters, memos, defined)))
         masks, codes = [start], [0]
         for depth in range(1, max_len + 1):
             next_masks, next_codes = [], []
             for t, code in zip(masks, codes):
+                hit, tested, extend = expansions[t]
+                explored += tested
                 code *= k
-                for x, memo, d in steps:
-                    if t & d != t:
-                        continue
-                    u = memo[t]
-                    explored += 1
-                    if u & (u - 1):  # two or more states: extend
-                        next_masks.append(u)
-                        next_codes.append(code + x)
-                    elif u:  # one state: a hit; an empty image is dropped
-                        return SearchResult(FOUND, depth, _decode(code + x, k, depth),
-                                            explored, time.perf_counter() - t0)
+                if hit is not None:
+                    return SearchResult(FOUND, depth, _decode(code + hit, k, depth),
+                                        explored, time.perf_counter() - t0)
+                for x, u in extend:
+                    next_masks.append(u)
+                    next_codes.append(code + x)
             masks, codes = next_masks, next_codes
         return SearchResult(NOT_SYNCHRONIZING, explored=explored,
                             elapsed=time.perf_counter() - t0)
@@ -825,13 +883,16 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
     nodes = [start_t]
     number = {start_t: 0}
     hits = [False]
+    hit_numbered = False
 
     def numbered(node: tuple[int, ...]) -> int:
+        nonlocal hit_numbered
         j = number.get(node)
         if j is None:
             j = number[node] = len(nodes)
             nodes.append(node)
             hits.append(hit(node))
+            hit_numbered = hit_numbered or hits[-1]
         return j
 
     steps = [_StepMemo(memo.__getitem__, nodes, numbered).__getitem__ for memo in memos]
@@ -842,8 +903,8 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
         nxt = [0] * (len(level) * k)
         for x, step in enumerate(steps):
             nxt[x::k] = map(step, level)
-        i = next(compress(count(), map(hits.__getitem__, nxt)), None)
-        if i is not None:
+        if hit_numbered:  # numbered while building nxt, so nxt holds it
+            i = next(compress(count(), map(hits.__getitem__, nxt)))
             explored += i + 1
             return SearchResult(FOUND, depth, _decode(i, k, depth), explored,
                                 time.perf_counter() - t0)

@@ -93,7 +93,8 @@ def parse(text: str) -> Instance:
                                    for t in toks[1:])
             elif head == "partition":
                 blocks = []
-                for blk in " ".join(toks[1:]).split("|"):
+                spec = " ".join(toks[1:])
+                for blk in spec.split("|") if spec else ():  # no blocks: ()
                     members = [t for t in blk.split(",") if t]
                     if not members:
                         raise ParseError("empty partition block", lineno)
@@ -139,19 +140,20 @@ def parse(text: str) -> Instance:
         else:
             cells[key] = dsts
 
-    delta = []
-    for s in range(n):
-        row = []
-        for x in range(len(alphabet)):
-            cell = cells.get((s, x))
-            if cell is None:
-                if kind == DFA:
-                    raise ParseError(
-                        f"dfa must be total: missing transition for state {s} "
-                        f"letter {alphabet.symbols[x]!r}")
-                cell = frozenset()
-            row.append(cell)
-        delta.append(tuple(row))
+    k = len(alphabet)
+    if kind == DFA and len(cells) < n * k:
+        s, x = next((s, x) for s in range(n) for x in range(k) if (s, x) not in cells)
+        raise ParseError(f"dfa must be total: missing transition for state {s} "
+                         f"letter {alphabet.symbols[x]!r}")
+    # rows only for the states that have lines: the rest share one empty
+    # row, so a file costs time in its lines, not in its declared states
+    empty = frozenset()
+    rows: dict[int, list[frozenset[int]]] = {}
+    for (s, x), cell in cells.items():
+        rows.setdefault(s, [empty] * k)[x] = cell
+    delta = [(empty,) * k] * n
+    for s, row in rows.items():
+        delta[s] = tuple(row)
 
     label_tuple = None
     if labels:

@@ -68,6 +68,12 @@ def test_kind_invariants():
     pfa_from_table([[None]], "a")  # undefined cell is fine for pfa
 
 
+@pytest.mark.parametrize("label", ["", "p q", "p=q", "p#q"])
+def test_labels_the_text_format_cannot_hold_are_rejected(label):
+    with pytest.raises(ValueError, match="bad state label"):
+        dfa_from_table([[0]], "a", [label])
+
+
 def test_step_examples():
     a = pfa_from_table([[1, None], [1, 0]], "ab")
     assert step(a, 0, 0) == frozenset({1})

@@ -87,7 +87,27 @@ def test_budget_exceeded_on_nodes():
     a = cerny(6).automaton
     res = shortest_reset(a, SearchBudget(max_nodes=3))
     assert res.status == BUDGET_EXCEEDED
-    assert res.explored > 3
+    assert res.explored == 3
+
+
+def test_node_cap_is_exact():
+    # the hit is the 58th set discovered: it is found only within the cap
+    a = cerny(6).automaton
+    res = shortest_reset(a)
+    assert (res.status, res.explored) == (FOUND, 58)
+    assert shortest_reset(a, SearchBudget(max_nodes=58)) == res
+    res = shortest_reset(a, SearchBudget(max_nodes=57))
+    assert (res.status, res.explored) == (BUDGET_EXCEEDED, 57)
+    # a wide level is cut inside, not after it
+    res = directing_word(cerny(8).automaton, D1, SearchBudget(max_nodes=100))
+    assert (res.status, res.explored) == (BUDGET_EXCEEDED, 100)
+
+
+def test_memory_cap_is_exact():
+    # a d1 node of Cerny 8 is estimated as 8 sets: 100 nodes fit, 101 do not
+    node = search._node_bytes(8) * 8
+    res = directing_word(cerny(8).automaton, D1, SearchBudget(max_memory=101 * node - 1))
+    assert (res.status, res.explored) == (BUDGET_EXCEEDED, 100)
 
 
 def test_budget_exceeded_on_length():
@@ -498,6 +518,13 @@ _NFA3 = nfa_from_sets([[{0, 3}, (), {0, 1}], [{1}, {0, 3}, {0}],
                        [{0, 2, 3}, {2, 3}, {0, 2, 3}], [{3}, {2}, ()]], "abc")
 _NFA_D1 = nfa_from_sets([[{0}, {0}, {1}], [(), {2}, ()], [{0, 2}, {0, 1, 2}, {0, 1}]],
                         "abc")
+# careful and subset searches of _PFA_BLIND find nothing; neither does d3
+# on _NFA_D3_NONE.  _PFA_LATE's careful word ends in c on a set where a and
+# b are both undefined, so the last word counts 1 letter, not 3.
+_PFA_BLIND = pfa_from_table([[2, 1, 1], [0, 2, 2], [1, None, 0]], "abc")
+_PFA_LATE = pfa_from_table([[None, 4, 3], [4, 4, 2], [0, None, 3], [0, 1, 1], [2, 1, 1]],
+                           "abc")
+_NFA_D3_NONE = nfa_from_sets([[{3}, {3}], [{0, 3}, {1, 2, 3}], [{2, 3}, ()], [(), {2}]], "ab")
 
 # (automaton, subset, mode, max_len) -> (status, length, witness, explored);
 # the careful pfa cases skip prefixes (226 words tested, not the 363 of all
@@ -512,6 +539,10 @@ ORACLE_PINS = [
     ((_NFA3, None, "d2", 6), (FOUND, 4, (0, 1, 1, 0), 52)),
     ((_NFA3, None, "d3", 6), (FOUND, 3, (0, 1, 0), 16)),
     ((_NFA_D1, None, "d1", 6), (FOUND, 5, (1, 2, 1, 2, 0), 271)),
+    ((_PFA_BLIND, None, "careful", 5), (NOT_SYNCHRONIZING, None, None, 62)),
+    ((_PFA_BLIND, {0, 1}, "subset", 5), (NOT_SYNCHRONIZING, None, None, 135)),
+    ((_NFA_D3_NONE, None, "d3", 6), (NOT_SYNCHRONIZING, None, None, 126)),
+    ((_PFA_LATE, None, "careful", 10), (FOUND, 6, (2, 0, 1, 0, 0, 2), 42)),
 ]
 
 

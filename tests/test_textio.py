@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from syncwords.automata import Instance
+from syncwords.automata import Alphabet, Automaton, Instance
 from syncwords.families import cerny, debruijn_counter
 from syncwords.textio import ParseError, parse, serialize
 
@@ -81,6 +83,23 @@ def test_dfa_must_be_total():
         parse(text)
 
 
+def test_dfa_error_names_the_first_missing_cell():
+    text = "kind dfa\nstates 3\nletters a b\n2 b 0\n0 b 1\n0 a 1\n1 a 0\n2 a 0\n"
+    with pytest.raises(ParseError,
+                       match="missing transition for state 1 letter 'b'") as err:
+        parse(text)
+    assert err.value.line is None
+
+
+def test_states_without_lines_share_the_empty_row():
+    a = parse("kind nfa\nstates 200000\nletters a b\n").automaton
+    assert a == Automaton("nfa", 200000, Alphabet(("a", "b")),
+                          ((frozenset(), frozenset()),) * 200000)
+    a = parse("kind pfa\nstates 200000\nletters a b\n7 b 3\n").automaton
+    assert a.delta[7] == (frozenset(), frozenset({3}))
+    assert a.delta[:7] + a.delta[8:] == ((frozenset(), frozenset()),) * 199999
+
+
 def test_pfa_undefined_marker():
     text = "kind pfa\nstates 2\nletters a b\n0 a 1\n0 b -\n1 b 0\n"
     inst = parse(text)
@@ -106,13 +125,36 @@ def test_cerny_roundtrip():
     assert parse(serialize(inst)) == inst
 
 
-@settings(max_examples=60)
-@given(st.data())
-def test_random_instances_roundtrip(data):
-    a = data.draw(st.one_of(dfas(), pfas(), nfas()))
-    subset = data.draw(st.one_of(
-        st.none(), st.sets(st.integers(0, a.n - 1), min_size=1).map(frozenset)))
-    inst = Instance(a, subset)
+def test_empty_partition_roundtrips():
+    inst = Instance(parse(MINIMAL).automaton, None, ())
+    assert parse(serialize(inst)) == inst
+
+
+@st.composite
+def instances(draw):
+    """A dfa, pfa or nfa with a subset, a partition, pairs and labels, each
+    optional."""
+    a = draw(st.one_of(dfas(), pfas(), nfas()))
+    states = st.integers(0, a.n - 1)
+    label = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
+    labels = draw(st.one_of(st.none(), st.lists(label, min_size=a.n, max_size=a.n).map(tuple)))
+    try:
+        a = dataclasses.replace(a, state_labels=labels)
+    except ValueError:
+        assume(False)  # a label the automaton rejects
+    subset = draw(st.one_of(st.none(), st.frozensets(states, min_size=1)))
+    # each state in one block or in none; blocks in order of first owner
+    owner = draw(st.lists(st.one_of(st.none(), states), min_size=a.n, max_size=a.n))
+    blocks = tuple(frozenset(s for s in a.states if owner[s] == b)
+                   for b in dict.fromkeys(b for b in owner if b is not None))
+    partition = draw(st.one_of(st.none(), st.just(blocks)))
+    pairs = draw(st.one_of(st.none(), st.lists(st.tuples(states, states)).map(tuple)))
+    return Instance(a, subset, partition, pairs)
+
+
+@settings(max_examples=100)
+@given(instances())
+def test_random_instances_roundtrip(inst):
     assert parse(serialize(inst)) == inst
 
 
@@ -123,8 +165,7 @@ def test_serialization_is_deterministic():
     assert serialize(rebuilt) == serialize(inst)
 
 
-# Lines of the format, well and badly formed, with state counts kept small:
-# the parser builds a row per declared state.
+# Lines of the format, well and badly formed.
 _HEADERS = st.sampled_from([
     "kind dfa\nstates 3\nletters a b", "kind pfa\nstates 3\nletters a b",
     "kind nfa\nstates 2\nletters a", "kind dfa\nstates 1\nletters a", "",
