@@ -74,10 +74,8 @@ class Automaton:
         if self.state_labels is not None:
             if len(self.state_labels) != self.n:
                 raise ValueError("need one label per state")
-            for lab in self.state_labels:
-                # the text format splits on whitespace and `=` and cuts `#`
-                if not lab or any(c.isspace() for c in lab) or "=" in lab or "#" in lab:
-                    raise ValueError(f"bad state label {lab!r}")
+            if not self._labels_are_valid():
+                self._raise_first_bad_label()
 
     def _table_is_valid(self) -> bool:
         """The whole transition table checked at once: row lengths, the
@@ -94,6 +92,24 @@ class Automaton:
             return False
         sizes = set(map(len, cells))
         return (self.kind == NFA or max(sizes) <= 1) and (self.kind != DFA or min(sizes) == 1)
+
+    def _labels_are_valid(self) -> bool:
+        """All labels checked at once: the text format splits on whitespace
+        and `=` and cuts `#`, so each label must be a nonempty string
+        without them.  Joined by `=`, the labels hold n - 1 of them, no `#`
+        and no whitespace exactly when every label is free of all three."""
+        try:
+            joined = "=".join(self.state_labels)
+        except TypeError:
+            return False  # a label that is not a string
+        return (all(self.state_labels) and joined.count("=") == self.n - 1
+                and "#" not in joined and joined.split() == [joined])
+
+    def _raise_first_bad_label(self) -> None:
+        """Name the first label that fails a check."""
+        for lab in self.state_labels:
+            if not lab or any(c.isspace() for c in lab) or "=" in lab or "#" in lab:
+                raise ValueError(f"bad state label {lab!r}")
 
     def _raise_first_bad_cell(self) -> None:
         """Name the first row or cell, in table order, that fails a check."""

@@ -14,14 +14,16 @@ built from two pieces, and both work a whole BFS level at a time:
   the per-mask work runs in C; searches that stay below that count never
   pay for the tables;
 * the driver `_bfs(start, expand, goal, ...)`, one level-synchronized
-  breadth-first search.  It calls `expand` once per level and keeps one
-  `parents` dict that doubles as the visited set.  A parent is stored as
-  a position: a new node maps to its position j in the level's flat
-  list, so its parent is `frontier[j // k]` and its letter `j % k`.
+  breadth-first search.  It calls `expand` once per level.  A new node's
+  parent is `frontier[j // k]` and its letter `j % k`, where j is its
+  position in the level's flat list.  Its visited set is a dict from
+  node to position until, in a wide search over n-state masks, a
+  `bytearray(1 << n)` indexed by mask is the smaller (see `_bfs`).
   `goal(fresh)` is called once per level on the new nodes in discovery
   order, never on `start`, so callers decide the zero-length case
   themselves.  It answers the index of the first hit and the nodes to
-  expand; a node left out stays in `parents` but is pruned.
+  expand; a node left out stays visited but is pruned.  A caller that
+  needs the discovered nodes collects them in its goal.
 
 Letter order makes the returned witness the lexicographically least
 among all shortest ones.  A search either finds an exact answer,
@@ -80,6 +82,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, repeat
+from math import inf
 from operator import and_, eq, mul, not_, or_, rshift
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -187,9 +190,9 @@ def set_of(mask: int) -> StateSet:
 
 def _node_bytes(n: int) -> int:
     # The per-node estimate that `max_memory` is checked against, sized for
-    # a dict slot, an int object and a (parent, letter) tuple.  A parent is
-    # a position now, which costs less, but the estimate is kept so that a
-    # memory cap stops a search where it did.
+    # a dict slot, an int object and a (parent, letter) tuple.  It
+    # over-estimates, most after the driver's switch to a mask-indexed
+    # table, but is kept so that a memory cap stops a search where it did.
     return 120 + 2 * (n // 4)
 
 
@@ -276,71 +279,109 @@ def _images(a: Automaton, careful: bool) -> Expand:
 # A goal's answer for one level: the index of the first hit among the
 # level's new nodes, or None, and the nodes to expand on the next level.
 Goal = Callable[[list], tuple[Optional[int], list]]
-Parents = dict[Hashable, int]
 
 
 def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: SearchBudget,
-         node_bytes: int) -> tuple[Optional[str], Optional[Word], Parents]:
+         node_bytes: int, bits: Optional[int] = None
+         ) -> tuple[Optional[str], Optional[Word], int]:
     """The level-synchronized search driver.
 
     `expand(frontier)` lists the children of a whole level in one flat
     list, k per node, node-major and in letter order; a falsy child means
-    the letter gives no edge.  A child not seen before is recorded in
-    `parents` under its position j in that list, so its parent is
-    `frontier[j // k]` and its letter `j % k`; `start` is recorded under
-    -1.  `goal(fresh)` is called once per level on the level's new nodes
-    in discovery order, and never on `start`.  It answers (hit, keep): the
-    index of the first hit in `fresh`, or None, and the nodes to expand
-    next; a node left out of `keep` is pruned.  Returns (status, word,
-    parents): status is FOUND with the word reaching the first hit (then
-    the last key of `parents`), BUDGET_EXCEEDED, or None when the
-    reachable graph is exhausted.  `parents` holds every node discovered
-    up to the hit, pruned ones included.
+    the letter gives no edge.  A child not seen before is new, and its
+    position j in that list names its parent `frontier[j // k]` and its
+    letter `j % k`.  `goal(fresh)` is called once per level on the level's
+    new nodes in discovery order, and never on `start`.  It answers (hit,
+    keep): the index of the first hit in `fresh`, or None, and the nodes to
+    expand next, in the order of `fresh`; a node left out of `keep` is
+    pruned.  Returns (status, word, explored): status is FOUND with the
+    word reaching the first hit, BUDGET_EXCEEDED, or None when the
+    reachable graph is exhausted.  `explored` counts the nodes discovered
+    up to the hit, `start` and pruned ones included.
 
-    The node and memory caps are exact: `parents` never holds more than
-    `min(max_nodes, max_memory // node_bytes)` nodes, `start` aside.  Once
-    per level, before `goal`, the newest new nodes past the cap are dropped
-    as never discovered; the level's goal sees only those within it, so a
-    hit past the cap is not found, and the search stops with
-    BUDGET_EXCEEDED.  `start` is never dropped: a cap below one node's
-    estimate stops the search on its first level.
+    The visited set is the dict `parents` from node to position, and
+    the expanded levels are kept as node lists.  For int masks of `bits`
+    states (None for other nodes), after the level that brings the
+    discovered count to 4,096 and to 2^bits / 32, a `bytearray(1 << bits)`
+    indexed by mask, 0 pre-marked as no edge, replaces the dict, which
+    costs over 32 bytes a node.  Every expanded level is then kept as an
+    `array('q')` of its nodes' positions alone, 8 bytes a node.  Table and
+    dict answer the same membership questions and the positions are the
+    same, so no length, witness or count changes.  The floor of 4,096
+    keeps the tiny searches of a reduction from allocating tables.
+
+    The node and memory caps are exact: `explored` never exceeds
+    `min(max_nodes, max_memory // node_bytes)`, `start` aside.  Once per
+    level, before `goal`, the newest new nodes past the cap are dropped as
+    never discovered; the level's goal sees only those within it, so a hit
+    past the cap is not found, and the search stops with BUDGET_EXCEEDED.
+    `start` is never dropped: a cap below one node's estimate stops the
+    search on its first level.
     """
     cap = min(budget.max_nodes, budget.max_memory // node_bytes)
-    parents: Parents = {start: -1}
-    frontiers = []  # the expanded levels, for the walk back
-    frontier = [start]
+    # the count of discovered nodes from which the table is the smaller
+    switch = max(4096, (1 << bits) // 32) if bits is not None else inf
+    parents: Optional[dict] = {start: -1}  # node -> position, until the switch
+    table: Optional[bytearray] = None
+    frontiers: list = [[start]]  # the expanded levels, for the walk back
+    explored = 1
+    frontier = frontiers[0]
     while frontier:
-        if len(frontiers) >= budget.max_length:
-            return BUDGET_EXCEEDED, None, parents
-        frontiers.append(frontier)
+        if len(frontiers) > budget.max_length:
+            return BUDGET_EXCEEDED, None, explored
         flat = expand(frontier)
         k = len(flat) // len(frontier)
         fresh = []
-        for j, child in enumerate(flat):
-            if child and child not in parents:
-                parents[child] = j
-                fresh.append(child)
-        over = len(parents) - cap
+        if table is None:
+            for j, child in enumerate(flat):
+                if child and child not in parents:
+                    parents[child] = j
+                    fresh.append(child)
+        else:
+            where = []  # the positions of the new nodes
+            for j, child in enumerate(flat):
+                if not table[child]:
+                    table[child] = 1
+                    fresh.append(child)
+                    where.append(j)
+        explored += len(fresh)
+        over = explored - cap
         if over > 0:  # the newest nodes past the cap are never discovered
-            keep = max(len(fresh) - over, 0)  # start, not in fresh, stays
-            for late in fresh[keep:]:
-                del parents[late]
-            del fresh[keep:]
+            within = max(len(fresh) - over, 0)  # start, not in fresh, stays
+            explored -= len(fresh) - within
+            del fresh[within:]
         hit, frontier = goal(fresh) if fresh else (None, fresh)
         if hit is not None:
-            for late in fresh[hit + 1:]:
-                del parents[late]  # found after the hit: never discovered
-            node = fresh[hit]
+            explored -= len(fresh) - hit - 1  # found after the hit: never discovered
+            j = parents[fresh[hit]] if table is None else where[hit]
             word = []
             for level in reversed(frontiers):
-                j = parents[node]
                 word.append(j % k)
-                node = level[j // k]
+                j = level[j // k]  # the parent, or after the switch its position
+                if table is None:
+                    j = parents[j]
             word.reverse()
-            return FOUND, tuple(word), parents
+            return FOUND, tuple(word), explored
         if over > 0:
-            return BUDGET_EXCEEDED, None, parents
-    return None, None, parents
+            return BUDGET_EXCEEDED, None, explored
+        if table is None:
+            frontiers.append(frontier)
+        else:
+            if frontier is not fresh:
+                where = map(dict(zip(fresh, where)).__getitem__, frontier)
+            frontiers.append(array("q", where))
+        if explored >= switch and table is None:
+            # every level, the next one included, now keeps its positions
+            # imported here: loading it adds to every process's RSS, and only
+            # wide searches use it
+            from array import array
+            frontiers = [array("q", map(parents.__getitem__, level)) for level in frontiers]
+            table = bytearray(1 << bits)
+            table[0] = 1
+            for t in parents:
+                table[t] = 1
+            parents = None
+    return None, None, explored
 
 
 def _first_hit(hit: Callable[[Hashable], object]) -> Goal:
@@ -357,13 +398,13 @@ def _is_singleton(t: int) -> bool:
 
 def _search(start: Hashable, expand: Expand, goal: Goal,
             budget: Optional[SearchBudget], node_bytes: int,
-            negative: str) -> SearchResult:
+            negative: str, bits: Optional[int] = None) -> SearchResult:
     """Run the driver and report its outcome, `negative` if exhausted."""
     t0 = time.perf_counter()
-    status, word, parents = _bfs(start, expand, goal, budget or DEFAULT_BUDGET,
-                                 node_bytes)
+    status, word, explored = _bfs(start, expand, goal, budget or DEFAULT_BUDGET,
+                                  node_bytes, bits)
     return SearchResult(status or negative, len(word) if word else None, word,
-                        len(parents), time.perf_counter() - t0)
+                        explored, time.perf_counter() - t0)
 
 
 # The answer when the start already is a goal; results are immutable.
@@ -426,7 +467,7 @@ def _reset_search(a: Automaton, start: int, careful: bool,
     if _is_singleton(start):
         return _EMPTY_WORD
     return _search(start, _images(a, careful), _pair_goal(a.n), budget,
-                   _node_bytes(a.n), negative)
+                   _node_bytes(a.n), negative, a.n)
 
 
 def shortest_reset(a: Automaton, budget: Optional[SearchBudget] = None) -> SearchResult:
@@ -462,19 +503,27 @@ def is_blind(a: Automaton, subset: Iterable[int],
 
 
 def replay(a: Automaton, start: Iterable[int], word: Sequence[int]) -> Optional[StateSet]:
-    """Apply a word under the careful rule; None if some letter is inapplicable."""
+    """Apply a word under the careful rule; None if some letter is inapplicable.
+
+    Each letter costs one OR of a packed column per active state, not a
+    whole kernel call."""
     states = frozenset(start)
     if any(s < 0 or s >= a.n for s in states):
         raise IndexError("start state out of range")
-    expand = _images(a, True)
+    defined, packed = transition_masks(a)
+    full = (1 << a.n) - 1
     t = mask_of(states)
     for x in word:
-        if not 0 <= x < len(a.alphabet):
+        if not 0 <= x < len(defined):
             raise IndexError(f"letter {x} out of range")
-        u = expand([t])[x]
-        if t and not u:
+        if t & defined[x] != t:
             return None  # x is undefined on some active state
-        t = u
+        u = 0  # the active states' packed columns: their images under all letters
+        while t:
+            b = t & -t
+            u |= packed[b.bit_length() - 1]
+            t ^= b
+        t = (u >> x * a.n) & full  # cut out letter x's image
     return set_of(t)
 
 
@@ -497,11 +546,16 @@ def relevant_part(a: Automaton, subset: Iterable[int],
         levels.append((frontier, images(frontier)))
         return levels[-1][1]
 
-    status, _, parents = _bfs(start, expand, lambda fresh: (None, fresh),
-                              budget or DEFAULT_BUDGET, _node_bytes(a.n))
+    stack = [start] if _is_singleton(start) else []  # the singletons discovered
+
+    def goal(fresh: list[int]) -> tuple[None, list[int]]:
+        stack.extend(filter(_is_singleton, fresh))
+        return None, fresh
+
+    status, _, explored = _bfs(start, expand, goal, budget or DEFAULT_BUDGET,
+                               _node_bytes(a.n), a.n)
     if status == BUDGET_EXCEEDED:
-        raise BudgetExceededError(f"subset graph exceeds budget at {len(parents)} nodes")
-    stack = [t for t in parents if _is_singleton(t)]
+        raise BudgetExceededError(f"subset graph exceeds budget at {explored} nodes")
     if not stack:
         raise BlindSubsetError("subset is blind: no careful reset word exists")
     k = len(a.alphabet)
@@ -590,18 +644,26 @@ def check_transversal_partition(a: Automaton, subset: Iterable[int],
     def verdict(t: int) -> bool:
         return _is_singleton(t) or all((t & b).bit_count() == 1 for b in blocks)
 
+    synchronized = _is_singleton(start)  # whether a singleton is discovered
+    violation = start
+
     def goal(fresh: list[int]) -> tuple[Optional[int], list[int]]:
+        nonlocal synchronized, violation
         hit = next(compress(count(), map(not_, map(verdict, fresh))), None)
-        return hit, [t for t in fresh if not _is_singleton(t)]
+        if hit is not None:
+            violation = fresh[hit]
+        keep = [t for t in fresh if not _is_singleton(t)]
+        synchronized = synchronized or len(keep) < len(fresh)
+        return hit, keep
 
     if not verdict(start):
         return TransversalViolation((), set_of(start))
-    status, word, parents = _bfs(start, expand, goal, budget, _node_bytes(a.n))
+    status, word, _ = _bfs(start, expand, goal, budget, _node_bytes(a.n), a.n)
     if status == FOUND:
-        return TransversalViolation(word, set_of(next(reversed(parents))))
+        return TransversalViolation(word, set_of(violation))
     if status == BUDGET_EXCEEDED:
         raise BudgetExceededError("transversal traversal exceeds budget")
-    if not any(_is_singleton(t) for t in parents):
+    if not synchronized:
         raise BlindSubsetError(
             "no careful reset word inside the block domain "
             "(subset blind or blocks do not cover the relevant part)")

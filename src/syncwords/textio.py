@@ -156,8 +156,11 @@ def parse(text: str) -> Instance:
         delta[s] = tuple(row)
 
     label_tuple = None
-    if labels:
-        label_tuple = tuple(labels.get(s, str(s)) for s in range(n))
+    if labels:  # the default labels in one pass, then the given ones
+        names = list(map(str, range(n)))
+        for s, name in labels.items():
+            names[s] = name
+        label_tuple = tuple(names)
     try:
         automaton = Automaton(kind, n, alphabet, tuple(delta), label_tuple)
         return Instance(automaton, subset, partition, pairs)
@@ -175,11 +178,13 @@ def serialize(instance: Instance) -> str:
             lines.append(f"{s} {tok} {dst}")
     if instance.subset is not None:
         lines.append("subset " + " ".join(str(s) for s in sorted(instance.subset)))
+    # an empty section is its bare keyword, with no trailing space
     if instance.partition is not None:
-        lines.append("partition " + "|".join(
-            ",".join(str(s) for s in sorted(b)) for b in instance.partition))
+        blocks = "|".join(",".join(str(s) for s in sorted(b)) for b in instance.partition)
+        lines.append(f"partition {blocks}" if blocks else "partition")
     if instance.pairs is not None:
-        lines.append("pairs " + " ".join(f"{r}:{q}" for r, q in instance.pairs))
+        pairs = " ".join(f"{r}:{q}" for r, q in instance.pairs)
+        lines.append(f"pairs {pairs}" if pairs else "pairs")
     if a.state_labels is not None:
         lines.append("labels " + " ".join(f"{s}={a.state_labels[s]}" for s in a.states))
     return "\n".join(lines) + "\n"

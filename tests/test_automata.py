@@ -68,10 +68,17 @@ def test_kind_invariants():
     pfa_from_table([[None]], "a")  # undefined cell is fine for pfa
 
 
-@pytest.mark.parametrize("label", ["", "p q", "p=q", "p#q"])
+@pytest.mark.parametrize("label", ["", "p q", "p=q", "p#q", " ", "p\u2003", "\x1c"])
 def test_labels_the_text_format_cannot_hold_are_rejected(label):
     with pytest.raises(ValueError, match="bad state label"):
         dfa_from_table([[0]], "a", [label])
+
+
+@pytest.mark.parametrize("label", ["", "p q", "p=q", "p#q", "q "])
+def test_the_first_bad_label_is_named(label):
+    # the labels are checked together; the message names the first bad one
+    with pytest.raises(ValueError, match=f"bad state label {label!r}"):
+        dfa_from_table([[0], [1], [2], [0]], "a", ["p", label, "r s", "t"])
 
 
 def test_step_examples():

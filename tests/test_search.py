@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -141,9 +142,9 @@ def _unpruned(a, start, careful):
     def goal(fresh):  # hit on the first singleton, expand every set
         return next((i for i, t in enumerate(fresh) if t.bit_count() == 1), None), fresh
 
-    status, word, parents = search._bfs(start, _images(a, careful), goal,
-                                        search.DEFAULT_BUDGET, 1)
-    return status, word and len(word), word, len(parents)
+    status, word, explored = search._bfs(start, _images(a, careful), goal,
+                                         search.DEFAULT_BUDGET, 1)
+    return status, word and len(word), word, explored
 
 
 def test_explored_counts_are_pinned():
@@ -163,6 +164,65 @@ def test_explored_counts_are_pinned():
     a = dfa_from_table([[0, 1], [0, 2], [0, 1]], "ab")
     res = shortest_reset(a)
     assert (res.witness, res.explored) == ((0,), 2)
+
+
+def _driver(a, careful, goal, bits):
+    """(status, word, explored) of the driver from all of a's states, with
+    the mask-indexed visited table allowed (`bits` = n) or not (None)."""
+    return search._bfs((1 << a.n) - 1, _images(a, careful), goal, search.DEFAULT_BUDGET,
+                       search._node_bytes(a.n), bits)
+
+
+def _cerny_with_partial_letter(n):
+    """Cerny n with a third letter, undefined on state 0 and the identity
+    elsewhere: careful images of the sets that hold 0 are empty, no edge."""
+    table = [[next(iter(cell)) for cell in row] + [None if s == 0 else s]
+             for s, row in enumerate(cerny(n).automaton.delta)]
+    return pfa_from_table(table, "abc")
+
+
+@pytest.mark.parametrize("a, careful", [(cerny(13).automaton, False),
+                                        (cerny(14).automaton, False),
+                                        (_cerny_with_partial_letter(13), True)])
+def test_visited_table_changes_no_answer(a, careful):
+    # every search discovers more than 4,096 sets, so with bits = n the
+    # driver switches to the table part way through
+    runs = [_driver(a, careful, search._pair_goal(a.n), bits) for bits in (None, a.n)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == FOUND and runs[0][2] > 4096
+
+
+def test_visited_table_changes_no_exhaustive_search():
+    # the traversal of relevant_part: every set reachable from all states
+    a = cerny(14).automaton
+    runs = [_driver(a, True, lambda fresh: (None, fresh), bits) for bits in (None, 14)]
+    assert runs[0] == runs[1] == (None, None, 2 ** 14 - 1)
+    assert relevant_part(a, a.states)[0] == frozenset(a.states)
+
+
+def test_cerny_14_is_pinned_past_the_switch():
+    res = shortest_reset(cerny(14).automaton)
+    assert (res.length, res.explored) == (169, 16370)
+    assert res.witness == (1,) + ((0,) * 13 + (1,)) * 12
+
+
+def test_node_cap_is_exact_past_the_switch():
+    res = shortest_reset(cerny(14).automaton, SearchBudget(max_nodes=10_000))
+    assert (res.status, res.explored) == (BUDGET_EXCEEDED, 10_000)
+
+
+def test_wide_search_memory_stays_small():
+    # Cerny 16 discovers 65,520 sets; past the switch each expanded set
+    # keeps an 8-byte position, and the visited table takes 64 KiB
+    a = cerny(16).automaton
+    tracemalloc.start()
+    try:
+        res = shortest_reset(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.length, res.explored) == (225, 65520)
+    assert peak < 3 << 20
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,6 +274,32 @@ def test_replay_is_careful_and_checks_range():
     for start in ({-1}, {2}):
         with pytest.raises(IndexError):
             replay(a, start, [1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([random_dfa, random_pfa, random_nfa]), st.integers(1, 9),
+       st.integers(1, 3), st.randoms(use_true_random=False))
+def test_replay_agrees_with_run(sample, n, k, rng):
+    # replay is run with the careful rule: None exactly when some letter
+    # meets a state it is undefined on
+    a = sample(rng, n, k)
+    start = random_subset(rng, n)
+    word = [rng.randrange(k) for _ in range(rng.randrange(12))]
+    image = replay(a, start, word)
+    current = frozenset(start)
+    for x in word:
+        if any(not a.delta[s][x] for s in current):
+            assert image is None
+            return
+        current = run(a, current, [x])
+    assert image == current == run(a, start, word)
+
+
+def test_replay_of_the_counter_witness():
+    ci = debruijn_counter(8)
+    image = replay(ci.automaton, ci.subset, counting_word(8))
+    assert image == run(ci.automaton, ci.subset, counting_word(8))
+    assert len(image) == 1
 
 
 def test_singleton_subset_is_trivial():

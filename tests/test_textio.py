@@ -128,6 +128,8 @@ def test_cerny_roundtrip():
 def test_empty_partition_roundtrips():
     inst = Instance(parse(MINIMAL).automaton, None, ())
     assert parse(serialize(inst)) == inst
+    inst = Instance(parse(MINIMAL).automaton, None, (), ())
+    assert serialize(inst).endswith("\npartition\npairs\n")
 
 
 @st.composite
@@ -155,7 +157,10 @@ def instances(draw):
 @settings(max_examples=100)
 @given(instances())
 def test_random_instances_roundtrip(inst):
-    assert parse(serialize(inst)) == inst
+    text = serialize(inst)
+    assert parse(text) == inst
+    # an empty partition or pair list is written as its bare keyword
+    assert not any(line != line.rstrip() for line in text.splitlines())
 
 
 def test_serialization_is_deterministic():
