@@ -167,6 +167,8 @@ def _search_file(args, mode: str, what: str) -> tuple[Instance, SearchResult]:
 
 
 def cmd_shortest(args) -> Outcome:
+    if args.witness_limit < 0:
+        raise CliError(f"--witness-limit must be nonnegative, got {args.witness_limit}")
     mode = args.mode
     instance, res = _search_file(args, mode, "subset mode")
     entry = {"mode": mode, "status": res.status, "length": res.length,
@@ -297,7 +299,10 @@ def cmd_verify(args) -> Outcome:
     budget = _budget(args)
     if args.check == "debruijn":
         with open(args.file, encoding="utf-8") as f:
-            bits = f.read().split()[0]
+            words = f.read().split()
+        if not words:
+            raise CliError(f"{args.file} holds no sequence")
+        bits = words[0]
         k = max(1, len(bits).bit_length() - 1)
         ok = len(bits) == 1 << k and verify_de_bruijn(bits, k)
         checks = [{"name": f"de Bruijn order {k}", "pass": ok}]
@@ -610,7 +615,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as e:
         print(f"budget: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (CliError, ValueError, FileNotFoundError) as e:
+    except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     report["timing"] = {"elapsed_ms": round(1000 * (time.perf_counter() - started), 3)}

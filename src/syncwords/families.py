@@ -100,9 +100,6 @@ class CounterInstance:
     def switch_state(self, i: int, flavor: int) -> int:
         return 5 * i + flavor
 
-    def clock_state(self, j: int) -> int:
-        return 5 * self.m + j
-
     @property
     def drain(self) -> int:
         return 5 * self.m + self.k + 1

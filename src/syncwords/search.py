@@ -14,16 +14,17 @@ built from two pieces, and both work a whole BFS level at a time:
   the per-mask work runs in C; searches that stay below that count never
   pay for the tables;
 * the driver `_bfs(start, expand, goal, ...)`, one level-synchronized
-  breadth-first search.  It calls `expand` once per level.  A new node's
-  parent is `frontier[j // k]` and its letter `j % k`, where j is its
-  position in the level's flat list.  Its visited set is a dict from
-  node to position until, in a wide search over n-state masks, a
+  breadth-first search that returns the `SearchResult`.  It calls `goal`
+  on `[start]` first, so a start that is a goal gives the empty word,
+  and then calls `expand` once per level.  A new node's parent is
+  `frontier[j // k]` and its letter `j % k`, where j is its position in
+  the level's flat list.  Its visited set is a dict from node to
+  position until, in a wide search over n-state masks, a
   `bytearray(1 << n)` indexed by mask is the smaller (see `_bfs`).
   `goal(fresh)` is called once per level on the new nodes in discovery
-  order, never on `start`, so callers decide the zero-length case
-  themselves.  It answers the index of the first hit and the nodes to
-  expand; a node left out stays visited but is pruned.  A caller that
-  needs the discovered nodes collects them in its goal.
+  order.  It answers the index of the first hit and the nodes to expand;
+  a node left out stays visited but is pruned.  A caller that needs the
+  discovered nodes collects them in its goal.
 
 Letter order makes the returned witness the lexicographically least
 among all shortest ones.  A search either finds an exact answer,
@@ -281,23 +282,23 @@ def _images(a: Automaton, careful: bool) -> Expand:
 Goal = Callable[[list], tuple[Optional[int], list]]
 
 
-def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: SearchBudget,
-         node_bytes: int, bits: Optional[int] = None
-         ) -> tuple[Optional[str], Optional[Word], int]:
-    """The level-synchronized search driver.
+def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: Optional[SearchBudget],
+         node_bytes: int, negative: str, bits: Optional[int] = None) -> SearchResult:
+    """The level-synchronized search driver, from `start` to a `SearchResult`.
 
-    `expand(frontier)` lists the children of a whole level in one flat
-    list, k per node, node-major and in letter order; a falsy child means
-    the letter gives no edge.  A child not seen before is new, and its
-    position j in that list names its parent `frontier[j // k]` and its
-    letter `j % k`.  `goal(fresh)` is called once per level on the level's
-    new nodes in discovery order, and never on `start`.  It answers (hit,
-    keep): the index of the first hit in `fresh`, or None, and the nodes to
-    expand next, in the order of `fresh`; a node left out of `keep` is
-    pruned.  Returns (status, word, explored): status is FOUND with the
-    word reaching the first hit, BUDGET_EXCEEDED, or None when the
-    reachable graph is exhausted.  `explored` counts the nodes discovered
-    up to the hit, `start` and pruned ones included.
+    `start` is level 0: `goal([start])` is called first, and a hit there is
+    the empty word.  `expand(frontier)` lists the children of a whole level
+    in one flat list, k per node, node-major and in letter order; a falsy
+    child means the letter gives no edge.  A child not seen before is new,
+    and its position j in that list names its parent `frontier[j // k]`
+    and its letter `j % k`.  `goal(fresh)` is called once per level on the
+    level's new nodes in discovery order.  It answers (hit, keep): the
+    index of the first hit in `fresh`, or None, and the nodes to expand
+    next, in the order of `fresh`; a node left out of `keep` is pruned.
+    The status is FOUND with the word reaching the first hit,
+    BUDGET_EXCEEDED, or `negative` when the reachable graph is exhausted.
+    `explored` counts the nodes discovered up to the hit, `start` and
+    pruned ones included.  `budget` None means `DEFAULT_BUDGET`.
 
     The visited set is the dict `parents` from node to position, and
     the expanded levels are kept as node lists.  For int masks of `bits`
@@ -310,25 +311,62 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: SearchBudget,
     same, so no length, witness or count changes.  The floor of 4,096
     keeps the tiny searches of a reduction from allocating tables.
 
-    The node and memory caps are exact: `explored` never exceeds
-    `min(max_nodes, max_memory // node_bytes)`, `start` aside.  Once per
-    level, before `goal`, the newest new nodes past the cap are dropped as
-    never discovered; the level's goal sees only those within it, so a hit
-    past the cap is not found, and the search stops with BUDGET_EXCEEDED.
-    `start` is never dropped: a cap below one node's estimate stops the
-    search on its first level.
+    The node and memory caps are exact: `explored` never exceeds the cap
+    `min(max_nodes, max_memory // node_bytes)`.  A cap of 0 stops the
+    search right after `start` is tested, with `explored` 1.  After that,
+    once per level and before `goal`, the newest new nodes past the cap
+    are dropped as never discovered; the level's goal sees only those
+    within it, so a hit past the cap is not found, and the search stops
+    with BUDGET_EXCEEDED.  The length cap stops it before it discovers a
+    node whose word is longer than `max_length`.
     """
+    t0 = time.perf_counter()
+    budget = budget or DEFAULT_BUDGET
     cap = min(budget.max_nodes, budget.max_memory // node_bytes)
     # the count of discovered nodes from which the table is the smaller
     switch = max(4096, (1 << bits) // 32) if bits is not None else inf
     parents: Optional[dict] = {start: -1}  # node -> position, until the switch
     table: Optional[bytearray] = None
-    frontiers: list = [[start]]  # the expanded levels, for the walk back
+    frontiers: list = []  # the expanded levels, for the walk back
+    fresh = [start]  # level 0
     explored = 1
-    frontier = frontiers[0]
-    while frontier:
-        if len(frontiers) > budget.max_length:
-            return BUDGET_EXCEEDED, None, explored
+    over = explored - cap  # a cap of 0 is exceeded by the start alone
+    while True:
+        hit, frontier = goal(fresh) if fresh else (None, fresh)
+        if hit is not None:
+            explored -= len(fresh) - hit - 1  # found after the hit: never discovered
+            j = parents[fresh[hit]] if table is None else where[hit]
+            word = []
+            for level in reversed(frontiers):
+                word.append(j % k)
+                j = level[j // k]  # the parent, or after the switch its position
+                if table is None:
+                    j = parents[j]
+            word.reverse()
+            return SearchResult(FOUND, len(word), tuple(word), explored,
+                                time.perf_counter() - t0)
+        # stop past a cap, before words longer than max_length, or when the
+        # reachable graph is exhausted
+        if over > 0 or not frontier or len(frontiers) >= budget.max_length:
+            status = BUDGET_EXCEEDED if over > 0 or frontier else negative
+            return SearchResult(status, explored=explored, elapsed=time.perf_counter() - t0)
+        if table is None:
+            frontiers.append(frontier)
+        else:
+            if frontier is not fresh:
+                where = map(dict(zip(fresh, where)).__getitem__, frontier)
+            frontiers.append(array("q", where))
+        if explored >= switch and table is None:
+            # every level, the next one included, now keeps its positions
+            # imported here: loading it adds to every process's RSS, and only
+            # wide searches use it
+            from array import array
+            frontiers = [array("q", map(parents.__getitem__, level)) for level in frontiers]
+            table = bytearray(1 << bits)
+            table[0] = 1
+            for t in parents:
+                table[t] = 1
+            parents = None
         flat = expand(frontier)
         k = len(flat) // len(frontier)
         fresh = []
@@ -347,41 +385,8 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: SearchBudget,
         explored += len(fresh)
         over = explored - cap
         if over > 0:  # the newest nodes past the cap are never discovered
-            within = max(len(fresh) - over, 0)  # start, not in fresh, stays
-            explored -= len(fresh) - within
-            del fresh[within:]
-        hit, frontier = goal(fresh) if fresh else (None, fresh)
-        if hit is not None:
-            explored -= len(fresh) - hit - 1  # found after the hit: never discovered
-            j = parents[fresh[hit]] if table is None else where[hit]
-            word = []
-            for level in reversed(frontiers):
-                word.append(j % k)
-                j = level[j // k]  # the parent, or after the switch its position
-                if table is None:
-                    j = parents[j]
-            word.reverse()
-            return FOUND, tuple(word), explored
-        if over > 0:
-            return BUDGET_EXCEEDED, None, explored
-        if table is None:
-            frontiers.append(frontier)
-        else:
-            if frontier is not fresh:
-                where = map(dict(zip(fresh, where)).__getitem__, frontier)
-            frontiers.append(array("q", where))
-        if explored >= switch and table is None:
-            # every level, the next one included, now keeps its positions
-            # imported here: loading it adds to every process's RSS, and only
-            # wide searches use it
-            from array import array
-            frontiers = [array("q", map(parents.__getitem__, level)) for level in frontiers]
-            table = bytearray(1 << bits)
-            table[0] = 1
-            for t in parents:
-                table[t] = 1
-            parents = None
-    return None, None, explored
+            explored = cap
+            del fresh[len(fresh) - over:]
 
 
 def _first_hit(hit: Callable[[Hashable], object]) -> Goal:
@@ -394,21 +399,6 @@ def _first_hit(hit: Callable[[Hashable], object]) -> Goal:
 
 def _is_singleton(t: int) -> bool:
     return t.bit_count() == 1
-
-
-def _search(start: Hashable, expand: Expand, goal: Goal,
-            budget: Optional[SearchBudget], node_bytes: int,
-            negative: str, bits: Optional[int] = None) -> SearchResult:
-    """Run the driver and report its outcome, `negative` if exhausted."""
-    t0 = time.perf_counter()
-    status, word, explored = _bfs(start, expand, goal, budget or DEFAULT_BUDGET,
-                                  node_bytes, bits)
-    return SearchResult(status or negative, len(word) if word else None, word,
-                        explored, time.perf_counter() - t0)
-
-
-# The answer when the start already is a goal; results are immutable.
-_EMPTY_WORD = SearchResult(FOUND, 0, (), 1)
 
 
 def _pair_goal(n: int) -> Goal:
@@ -464,10 +454,8 @@ def _reset_search(a: Automaton, start: int, careful: bool,
     and witness are those of the unpruned search; `explored` can only be
     smaller.
     """
-    if _is_singleton(start):
-        return _EMPTY_WORD
-    return _search(start, _images(a, careful), _pair_goal(a.n), budget,
-                   _node_bytes(a.n), negative, a.n)
+    return _bfs(start, _images(a, careful), _pair_goal(a.n), budget,
+                _node_bytes(a.n), negative, a.n)
 
 
 def shortest_reset(a: Automaton, budget: Optional[SearchBudget] = None) -> SearchResult:
@@ -505,26 +493,20 @@ def is_blind(a: Automaton, subset: Iterable[int],
 def replay(a: Automaton, start: Iterable[int], word: Sequence[int]) -> Optional[StateSet]:
     """Apply a word under the careful rule; None if some letter is inapplicable.
 
-    Each letter costs one OR of a packed column per active state, not a
-    whole kernel call."""
+    Each letter reads the active states' transition cells and takes their
+    union, so a long word costs no kernel call and no mask."""
     states = frozenset(start)
     if any(s < 0 or s >= a.n for s in states):
         raise IndexError("start state out of range")
-    defined, packed = transition_masks(a)
-    full = (1 << a.n) - 1
-    t = mask_of(states)
+    k = len(a.alphabet)
     for x in word:
-        if not 0 <= x < len(defined):
+        if not 0 <= x < k:
             raise IndexError(f"letter {x} out of range")
-        if t & defined[x] != t:
+        cells = [a.delta[s][x] for s in states]
+        if not all(cells):
             return None  # x is undefined on some active state
-        u = 0  # the active states' packed columns: their images under all letters
-        while t:
-            b = t & -t
-            u |= packed[b.bit_length() - 1]
-            t ^= b
-        t = (u >> x * a.n) & full  # cut out letter x's image
-    return set_of(t)
+        states = frozenset().union(*cells)
+    return states
 
 
 def relevant_part(a: Automaton, subset: Iterable[int],
@@ -538,32 +520,28 @@ def relevant_part(a: Automaton, subset: Iterable[int],
     """
     if a.kind not in (DFA, PFA):
         raise ValueError("relevant_part requires a dfa or pfa")
-    start = _subset_mask(a, subset)
     images = _images(a, True)
-    levels: list[tuple[list[int], list[int]]] = []  # (frontier, its images)
+    k = len(a.alphabet)
+    preds: dict[int, list[int]] = {}  # set -> the sets with an edge to it
 
     def expand(frontier: list[int]) -> list[int]:
-        levels.append((frontier, images(frontier)))
-        return levels[-1][1]
+        flat = images(frontier)
+        for j, u in enumerate(flat):
+            if u:
+                preds.setdefault(u, []).append(frontier[j // k])
+        return flat
 
-    stack = [start] if _is_singleton(start) else []  # the singletons discovered
+    stack: list[int] = []  # the singletons discovered
 
     def goal(fresh: list[int]) -> tuple[None, list[int]]:
         stack.extend(filter(_is_singleton, fresh))
         return None, fresh
 
-    status, _, explored = _bfs(start, expand, goal, budget or DEFAULT_BUDGET,
-                               _node_bytes(a.n), a.n)
-    if status == BUDGET_EXCEEDED:
-        raise BudgetExceededError(f"subset graph exceeds budget at {explored} nodes")
+    res = _bfs(_subset_mask(a, subset), expand, goal, budget, _node_bytes(a.n), BLIND, a.n)
+    if res.status == BUDGET_EXCEEDED:
+        raise BudgetExceededError(f"subset graph exceeds budget at {res.explored} nodes")
     if not stack:
         raise BlindSubsetError("subset is blind: no careful reset word exists")
-    k = len(a.alphabet)
-    preds: dict[int, list[int]] = {}
-    for frontier, flat in levels:
-        for j, u in enumerate(flat):
-            if u:
-                preds.setdefault(u, []).append(frontier[j // k])
     alive = set(stack)  # sets from which a singleton is reachable
     united = 0
     while stack:
@@ -620,7 +598,6 @@ def check_transversal_partition(a: Automaton, subset: Iterable[int],
     """
     if a.kind not in (DFA, PFA):
         raise ValueError("transversal check requires a dfa or pfa")
-    budget = budget or DEFAULT_BUDGET
     blocks = [_subset_mask(a, b) for b in partition]
     domain = 0
     for b in blocks:
@@ -634,18 +611,15 @@ def check_transversal_partition(a: Automaton, subset: Iterable[int],
         raise ValueError("subset must lie inside the union of the blocks")
     images = _images(a, True)
 
-    # a singleton is not expanded: its images stay singletons.  The goal
-    # keeps no singleton, so only a singleton start reaches `expand`.
+    # the goal keeps no singleton: its images stay singletons
     def expand(frontier: list[int]) -> list[int]:
-        if _is_singleton(frontier[0]):
-            return [0] * len(a.alphabet)
         return [0 if u & ~domain else u for u in images(frontier)]
 
     def verdict(t: int) -> bool:
         return _is_singleton(t) or all((t & b).bit_count() == 1 for b in blocks)
 
-    synchronized = _is_singleton(start)  # whether a singleton is discovered
-    violation = start
+    synchronized = False  # whether a singleton is discovered
+    violation = 0  # the first set that fails the verdict
 
     def goal(fresh: list[int]) -> tuple[Optional[int], list[int]]:
         nonlocal synchronized, violation
@@ -656,12 +630,10 @@ def check_transversal_partition(a: Automaton, subset: Iterable[int],
         synchronized = synchronized or len(keep) < len(fresh)
         return hit, keep
 
-    if not verdict(start):
-        return TransversalViolation((), set_of(start))
-    status, word, _ = _bfs(start, expand, goal, budget, _node_bytes(a.n), a.n)
-    if status == FOUND:
-        return TransversalViolation(word, set_of(violation))
-    if status == BUDGET_EXCEEDED:
+    res = _bfs(start, expand, goal, budget, _node_bytes(a.n), BLIND, a.n)
+    if res.found:
+        return TransversalViolation(res.witness, set_of(violation))
+    if res.status == BUDGET_EXCEEDED:
         raise BudgetExceededError("transversal traversal exceeds budget")
     if not synchronized:
         raise BlindSubsetError(
@@ -678,6 +650,9 @@ def count_shortest_reset_words(a: Automaton, subset: Iterable[int],
 
     Counts words (not subset-graph paths) by level-synchronized dynamic
     programming, so a result of (L, 1) proves the shortest word unique.
+    The sets of every counting level, the start included, count against
+    `min(max_nodes, max_memory // node_bytes)`, as a search's `explored`
+    does; past that it raises BudgetExceededError.
     """
     budget = budget or DEFAULT_BUDGET
     start = _subset_mask(a, subset)
@@ -688,9 +663,11 @@ def count_shortest_reset_words(a: Automaton, subset: Iterable[int],
         return None
     if res.length == 0:
         return 0, 1
+    cap = min(budget.max_nodes, budget.max_memory // _node_bytes(a.n))
     expand = _images(a, True)
     k = len(a.alphabet)
     ways: dict[int, int] = {start: 1}
+    walked = 1  # the sets of the counting levels
     hits = 0
     for _ in range(res.length):
         counts = list(ways.values())
@@ -701,6 +678,9 @@ def count_shortest_reset_words(a: Automaton, subset: Iterable[int],
             elif u:
                 nxt[u] = nxt.get(u, 0) + counts[j // k]
         ways = nxt
+        walked += len(ways)
+        if walked > cap:
+            raise BudgetExceededError(f"word counting exceeds budget at {walked} sets")
     return res.length, hits
 
 
@@ -741,11 +721,8 @@ def directing_word(a: Automaton, mode: str,
         def hit(node: tuple[int, ...]) -> bool:
             return reduce(and_, node) != 0
 
-    start = tuple(1 << s for s in range(n))
-    if hit(start):
-        return _EMPTY_WORD
-    return _search(start, expand, _first_hit(hit), budget, _node_bytes(n) * n,
-                   NOT_SYNCHRONIZING)
+    return _bfs(tuple(1 << s for s in range(n)), expand, _first_hit(hit), budget,
+                _node_bytes(n) * n, NOT_SYNCHRONIZING)
 
 
 # --- one call per mode ------------------------------------------------------
@@ -1016,6 +993,6 @@ def composition_depth(n: int, generators: Sequence[Sequence[int]],
             return gens
         return [tuple(map(h.__getitem__, g)) for h in frontier for g in gens]  # h o g
 
-    res = _search((), expand, _first_hit(target), budget, _node_bytes(n) * n,
-                  NOT_SYNCHRONIZING)
+    res = _bfs((), expand, _first_hit(lambda f: f != () and target(f)), budget,
+               _node_bytes(n) * n, NOT_SYNCHRONIZING)
     return replace(res, explored=res.explored - 1)  # () is not a transform

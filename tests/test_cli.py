@@ -332,3 +332,39 @@ def test_experiment_exits_3_when_a_search_hits_the_budget(capsys, argv):
     code, out, err = run_cli(capsys, "experiment", *argv)
     assert (code, out) == (3, "")
     assert "undecided within budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["shortest", d, "--mode", "classic"],
+    lambda d: ["build", "cerny", "--n", "3", "-o", d],
+], ids=["input", "output"])
+def test_directory_as_a_file_exits_1(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv(str(tmp_path)))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", ["", " \n\n"], ids=["empty", "blank"])
+def test_verify_debruijn_without_a_sequence_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "none.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", str(path), "--check", "debruijn")
+    assert (code, out) == (1, "")
+    assert "no sequence" in err
+
+
+def test_negative_witness_limit_is_rejected(counter_file, capsys):
+    code, out, err = run_cli(capsys, "shortest", counter_file, "--mode", "subset",
+                             "--witness-limit", "-1")
+    assert (code, out) == (1, "")
+    assert "--witness-limit" in err
+
+
+def test_verify_counter_exits_3_when_word_counting_hits_the_budget(tmp_path, capsys):
+    # the search fits in 200 sets, the count of its shortest words does not
+    path = str(tmp_path / "counter4.aut")
+    save(path, debruijn_counter(4).instance)
+    code, out, err = run_cli(capsys, "verify", path, "--check", "counter", "--m", "4",
+                             "--max-nodes", "200")
+    assert (code, out) == (3, "")
+    assert "word counting" in err

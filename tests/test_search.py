@@ -136,15 +136,11 @@ def test_results_are_immutable():
 def _unpruned(a, start, careful):
     """(status, length, witness, explored) of the driver run without the
     reset searches' pair pruning, the status None when exhausted."""
-    if start.bit_count() == 1:
-        return FOUND, 0, (), 1
-
     def goal(fresh):  # hit on the first singleton, expand every set
         return next((i for i, t in enumerate(fresh) if t.bit_count() == 1), None), fresh
 
-    status, word, explored = search._bfs(start, _images(a, careful), goal,
-                                         search.DEFAULT_BUDGET, 1)
-    return status, word and len(word), word, explored
+    res = search._bfs(start, _images(a, careful), goal, search.DEFAULT_BUDGET, 1, None)
+    return res.status, res.length, res.witness, res.explored
 
 
 def test_explored_counts_are_pinned():
@@ -168,9 +164,11 @@ def test_explored_counts_are_pinned():
 
 def _driver(a, careful, goal, bits):
     """(status, word, explored) of the driver from all of a's states, with
-    the mask-indexed visited table allowed (`bits` = n) or not (None)."""
-    return search._bfs((1 << a.n) - 1, _images(a, careful), goal, search.DEFAULT_BUDGET,
-                       search._node_bytes(a.n), bits)
+    the mask-indexed visited table allowed (`bits` = n) or not (None),
+    the status None when exhausted."""
+    res = search._bfs((1 << a.n) - 1, _images(a, careful), goal, search.DEFAULT_BUDGET,
+                      search._node_bytes(a.n), None, bits)
+    return res.status, res.witness, res.explored
 
 
 def _cerny_with_partial_letter(n):
@@ -386,6 +384,17 @@ def test_count_shortest_reset_words():
         assert (length, count) == ((2 ** m - 1) * (ci.k + 1) + 1, 1)
 
 
+@pytest.mark.parametrize("budget", [SearchBudget(max_nodes=200),
+                                    SearchBudget(max_memory=200 * search._node_bytes(25))],
+                         ids=["nodes", "memory"])
+def test_word_counting_respects_the_caps(budget):
+    # the search fits in 200 sets; the counting levels hold about 30,000
+    ci = debruijn_counter(4)
+    assert shortest_subset_reset(ci.automaton, ci.subset, budget).explored == 148
+    with pytest.raises(BudgetExceededError, match="word counting"):
+        count_shortest_reset_words(ci.automaton, ci.subset, budget)
+
+
 def test_count_agrees_with_oracle():
     # oracle-side count: enumerate all words of the shortest length
     from itertools import product as iproduct
@@ -406,6 +415,20 @@ def test_count_agrees_with_oracle():
 
 
 # --- relevant part ------------------------------------------------------------
+
+
+def test_relevant_part_memory_stays_small():
+    # all 16,383 sets of Cerny 14 are reachable; their predecessors are
+    # recorded as each level is expanded, and no level's images are kept
+    a = cerny(14).automaton
+    tracemalloc.start()
+    try:
+        states, _ = relevant_part(a, a.states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states == frozenset(a.states)
+    assert peak < 3.5 * 2 ** 20
 
 
 def test_relevant_part_singleton():
@@ -645,8 +668,7 @@ def test_oracle_is_independent_of_the_engine(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("the oracle called the engine")
 
-    for name in ("transition_masks", "_images", "_bfs", "directing_word", "_first_hit",
-                 "_search"):
+    for name in ("transition_masks", "_images", "_bfs", "directing_word", "_first_hit"):
         monkeypatch.setattr(search, name, broken)
     assert _oracle_answers() == [pin for _, pin in ORACLE_PINS]
 
