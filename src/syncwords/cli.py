@@ -38,8 +38,7 @@ from .search import (BUDGET_EXCEEDED, CAREFUL, CLASSIC, D1, D2, D3,
                      check_transversal_partition, composition_depth,
                      constant_target, count_shortest_reset_words,
                      directing_word, is_swap_congruence, relevant_part,
-                     shortest_careful_reset, shortest_reset,
-                     shortest_subset_reset, shortest_word)
+                     shortest_reset, shortest_subset_reset, shortest_word)
 from .textio import ParseError, load, save, serialize
 
 EXIT_OK = 0
@@ -303,6 +302,8 @@ def cmd_verify(args) -> Outcome:
         if not words:
             raise CliError(f"{args.file} holds no sequence")
         bits = words[0]
+        if not set(bits) <= set("01"):  # whatever its length
+            raise CliError("sequence must be binary")
         k = max(1, len(bits).bit_length() - 1)
         ok = len(bits) == 1 << k and verify_de_bruijn(bits, k)
         checks = [{"name": f"de Bruijn order {k}", "pass": ok}]
@@ -397,17 +398,22 @@ def _suite_roundtrips(args, budget) -> tuple[list[dict], list[dict]]:
         if "length_in" in rep.details and "length_out" in rep.details:
             gaps[name].append(rep.details["length_out"] - rep.details["length_in"])
 
+    # each sampler's accepting search is the reduction's input search
     for _ in range(count):
-        a, s = random_careful_subset_pfa(rng, rng.randint(2, 6), rng.randint(2, 3))
-        note("add-sinks", run_reduction("add-sinks", Instance(a, s), budget))
+        a, s, res = random_careful_subset_pfa(rng, rng.randint(2, 6), rng.randint(2, 3),
+                                              budget)
+        note("add-sinks", run_reduction("add-sinks", Instance(a, s), budget,
+                                        input_search=res))
 
-        b = random_carefully_synchronizing_pfa(rng, rng.randint(2, 6), 2)
+        b, res = random_carefully_synchronizing_pfa(rng, rng.randint(2, 6), 2, budget)
         pairs = random_connectable_pairs(rng, b, min_arcs=1)
-        note("connect", run_reduction("connect", Instance(b), budget, pairs=pairs))
+        note("connect", run_reduction("connect", Instance(b), budget, pairs=pairs,
+                                      input_search=res))
 
-        c, sc = random_synchronizable_subset_dfa(rng, rng.randint(2, 6), 2)
+        c, sc, res = random_synchronizable_subset_dfa(rng, rng.randint(2, 6), 2, budget)
         pairs = random_connectable_pairs(rng, c, min_arcs=2)
-        note("double", run_reduction("double", Instance(c, sc), budget, pairs=pairs))
+        note("double", run_reduction("double", Instance(c, sc), budget, pairs=pairs,
+                                     input_search=res))
 
         d = random_pfa(rng, rng.randint(2, 6), rng.randint(2, 3))
         seed_state = rng.randrange(d.n)
@@ -418,9 +424,10 @@ def _suite_roundtrips(args, budget) -> tuple[list[dict], list[dict]]:
         except BlindSubsetError:
             pass
 
-        e, se = random_synchronizable_subset_dfa(rng, rng.randint(2, 5),
-                                                 rng.randint(2, 3))
-        note("binarize", run_reduction("binarize", Instance(e, se), budget))
+        e, se, res = random_synchronizable_subset_dfa(rng, rng.randint(2, 5),
+                                                      rng.randint(2, 3), budget)
+        note("binarize", run_reduction("binarize", Instance(e, se), budget,
+                                       input_search=res))
 
     ci = debruijn_counter(2)
     note("restart", run_reduction("restart", ci.instance, budget))
@@ -483,8 +490,7 @@ def _suite_nfa_modes(args, budget) -> tuple[list[dict], list[dict]]:
     bad = []
     for i in range(count):
         n = rng.randint(2, 6)
-        a = random_carefully_synchronizing_pfa(rng, n, rng.randint(2, 3))
-        car = _decided(shortest_careful_reset(a, budget), "careful search")
+        a, car = random_carefully_synchronizing_pfa(rng, n, rng.randint(2, 3), budget)
         d1, d2, d3 = (_decided(directing_word(a, mode, budget), f"{mode} search")
                       for mode in (D1, D2, D3))
         if not (d1.length == d3.length == car.length

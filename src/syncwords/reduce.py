@@ -8,11 +8,15 @@ into one whose shortest word length L' relates to the input's L:
     binarize   L' >= L careful; in subset mode witnesses must decode
 
 `run_reduction` applies one transform with its structural checks,
-searches the input and the output once each, then checks the relation
-and the witnesses, and builds one frozen ReductionReport.  `binary_chain`
-runs the stages double -> binarize (subset) or restart -> connect ->
-binarize (careful) on the switch counter, ending in a binary strongly
-connected instance, and checks a witness propagated through them.
+searches the output, then checks the relation and the witnesses, and
+builds one frozen ReductionReport that keeps the output's search.  It
+searches the input only when the caller does not hand that search in:
+the rejection samplers of `sampling` return the search that accepted an
+instance, and `binary_chain` hands each stage's output search to the
+next stage.  So every search is made once.  `binary_chain` runs the
+stages double -> binarize (subset) or restart -> connect -> binarize
+(careful) on the switch counter, ending in a binary strongly connected
+instance, and checks a witness propagated through them.
 """
 
 from __future__ import annotations
@@ -63,10 +67,15 @@ def _chosen_arc(a: Automaton, target: int, pairs: Sequence[Pair]) -> tuple[int, 
 
 
 def _shortest(a: Automaton, subset: Optional[StateSet],
-              budget: Optional[SearchBudget]) -> SearchResult:
-    """Careful search of the subset, or of all states when it is None.
-    A search stopped by the budget raises: it decides no length."""
-    if subset is None:
+              budget: Optional[SearchBudget],
+              known: Optional[SearchResult] = None) -> SearchResult:
+    """Careful search of the subset, or of all states when it is None;
+    `known` is that search's result when the caller has made it under
+    `budget`.  A search stopped by the budget raises: it decides no
+    length."""
+    if known is not None:
+        res = known
+    elif subset is None:
         res = shortest_careful_reset(a, budget)
     else:
         res = shortest_subset_reset(a, subset, budget)
@@ -75,11 +84,11 @@ def _shortest(a: Automaton, subset: Optional[StateSet],
     return res
 
 
-def _sync_target(a: Automaton, subset: StateSet,
-                 budget: Optional[SearchBudget]) -> tuple[SearchResult, int]:
-    """The subset's shortest careful reset search, and the state its word
-    ends in."""
-    res = _shortest(a, subset, budget)
+def _sync_target(a: Automaton, subset: StateSet, budget: Optional[SearchBudget],
+                 known: Optional[SearchResult]) -> tuple[SearchResult, int]:
+    """The subset's shortest careful reset search (`known`, when the caller
+    has made it), and the state its word ends in."""
+    res = _shortest(a, subset, budget, known)
     if res.status == BLIND:
         raise BlindSubsetError("subset is blind")
     (target,) = run(a, subset, res.witness)
@@ -94,15 +103,15 @@ def add_sink_determinization(a: Automaton, subset: Iterable[int],
     the trap, and adds a finish letter sending only the synchronization
     target to D.  The new subset gains length exactly +1.
     """
-    return _add_sinks(a, frozenset(subset), budget)[0]
+    return _add_sinks(a, frozenset(subset), budget, None)[0]
 
 
-def _add_sinks(a: Automaton, subset: StateSet, budget: Optional[SearchBudget]
-               ) -> tuple[Instance, SearchResult]:
+def _add_sinks(a: Automaton, subset: StateSet, budget: Optional[SearchBudget],
+               known: Optional[SearchResult]) -> tuple[Instance, SearchResult]:
     """add_sink_determinization, also returning the search of the subset."""
     if a.kind not in (DFA, PFA):
         raise ValueError("determinization applies to dfa/pfa")
-    res, target = _sync_target(a, subset, budget)
+    res, target = _sync_target(a, subset, budget, known)
     n = a.n
     drain, trap = n, n + 1
     (finish,) = _fresh_tokens("ω", 1, a.alphabet.symbols)
@@ -153,11 +162,12 @@ def swap_doubling(a: Automaton, subset: Iterable[int], pairs: Sequence[Pair],
     a swap congruence, so the doubled subset still cannot shortcut; its
     shortest reset word gains at least +1.
     """
-    return _double(a, frozenset(subset), pairs, budget)[0]
+    return _double(a, frozenset(subset), pairs, budget, None)[0]
 
 
 def _double(a: Automaton, subset: StateSet, pairs: Sequence[Pair],
-            budget: Optional[SearchBudget]) -> tuple[Instance, SearchResult]:
+            budget: Optional[SearchBudget], known: Optional[SearchResult]
+            ) -> tuple[Instance, SearchResult]:
     """swap_doubling, also returning the search of the subset."""
     if a.kind != DFA:
         raise ValueError("doubling applies to dfa")
@@ -166,7 +176,7 @@ def _double(a: Automaton, subset: StateSet, pairs: Sequence[Pair],
         raise ValueError("need at least two arcs")
     if not augmentation_connects(a, pairs):
         raise ValueError("the given arcs do not make the automaton strongly connected")
-    res, target = _sync_target(a, subset, budget)
+    res, target = _sync_target(a, subset, budget, known)
     chosen, _ = _chosen_arc(a, target, pairs)
 
     n = a.n
@@ -334,11 +344,14 @@ def decode_word(word: Sequence[int]) -> Word:
 @dataclass(frozen=True)
 class ReductionReport:
     """A reduction's output with its named checks in the order they ran;
-    `details` holds the measured lengths and other figures."""
+    `details` holds the measured lengths and other figures, and
+    `output_search` the output's careful search (of its subset, or of all
+    states when it has none)."""
     name: str
     output: Instance
     checks: tuple[tuple[str, bool], ...]
     details: Mapping[str, object]  # read-only
+    output_search: SearchResult
 
     @property
     def ok(self) -> bool:
@@ -357,25 +370,30 @@ _RELATIONS = {
 
 def run_reduction(name: str, instance: Instance,
                   budget: Optional[SearchBudget] = None,
-                  pairs: Optional[Sequence[Pair]] = None) -> ReductionReport:
+                  pairs: Optional[Sequence[Pair]] = None,
+                  input_search: Optional[SearchResult] = None) -> ReductionReport:
     """Apply one named reduction and record its checks.
 
     Names: add-sinks, connect, double, restart, binarize (subset mode
     when the instance has a subset, careful mode otherwise).  The checks
     are the op's structural ones, its length relation when both searches
     find a word, its witness checks, and the serialization round trip.
-    Raises BudgetExceededError when either search stops at the budget.
+    The input search is the careful search of the instance's subset, or
+    of all states when it has none or the op is connect.  A caller that
+    has made it under `budget` passes its result as `input_search`, and
+    it is not made again.  Raises BudgetExceededError when either search
+    stops at the budget.
     """
     a = instance.automaton
     arcs = pairs if pairs is not None else (instance.pairs or ())
     subset = instance.subset
     relation = _RELATIONS.get(name)
     witness_checks = lambda before, after: ()
-    before = None  # the input search, when the transform has made it
+    before = input_search  # the input search, once the caller or transform made it
     if name == "add-sinks":
         if subset is None:
             raise ValueError("add-sinks needs a subset")
-        out, before = _add_sinks(a, frozenset(subset), budget)
+        out, before = _add_sinks(a, frozenset(subset), budget, before)
         checks = [("state count +2", out.automaton.n == a.n + 2),
                   ("letter count +1",
                    len(out.automaton.alphabet) == len(a.alphabet) + 1)]
@@ -391,7 +409,7 @@ def run_reduction(name: str, instance: Instance,
     elif name == "double":
         if subset is None:
             raise ValueError("double needs a subset")
-        out, before = _double(a, frozenset(subset), arcs, budget)
+        out, before = _double(a, frozenset(subset), arcs, budget, before)
         checks = [("state count 2n+2", out.automaton.n == 2 * a.n + 2),
                   ("strongly connected", is_strongly_connected(out.automaton)),
                   ("swap congruence",
@@ -429,8 +447,7 @@ def run_reduction(name: str, instance: Instance,
     else:
         raise ValueError(f"unknown reduction {name!r}")
 
-    if before is None:
-        before = _shortest(a, subset, budget)
+    before = _shortest(a, subset, budget, before)
     after = _shortest(out.automaton, out.subset, budget)
     details = {}
     if name == "connect":
@@ -446,7 +463,7 @@ def run_reduction(name: str, instance: Instance,
     elif name == "connect":
         checks.append(("negative preserved", before.status == after.status))
     checks.append(("output serialization round-trips", parse(serialize(out)) == out))
-    return ReductionReport(name, out, tuple(checks), MappingProxyType(details))
+    return ReductionReport(name, out, tuple(checks), MappingProxyType(details), after)
 
 
 def binary_chain(m: int, variant: str,
@@ -476,9 +493,12 @@ def binary_chain(m: int, variant: str,
                   ("binarize", None))
     reports = []
     instance = counter.instance
+    search = None  # each stage's input is the previous stage's searched output
     for name, pairs in stages:
-        reports.append(run_reduction(name, instance, budget, pairs=pairs))
+        reports.append(run_reduction(name, instance, budget, pairs=pairs,
+                                     input_search=search))
         instance = reports[-1].output
+        search = reports[-1].output_search
 
     last = reports[-1]
     pre = reports[-2].output.automaton  # the input of the binarize stage

@@ -1,12 +1,20 @@
-"""Seeded random automaton instances for experiments and cross-checks."""
+"""Seeded random automaton instances for experiments and cross-checks.
+
+The rejection samplers draw until the engine accepts a draw, and return
+that search with the instance, so a caller that needs the same search
+uses it rather than repeating it.  They search under the caller's budget
+and raise BudgetExceededError when it stops a search.
+"""
 
 from __future__ import annotations
 
 import random
 import string
+from typing import Optional
 
 from .automata import (Alphabet, Automaton, DFA, NFA, PFA, Pair, augmenting_pairs)
-from .search import FOUND, shortest_careful_reset, shortest_subset_reset
+from .search import (BUDGET_EXCEEDED, BudgetExceededError, SearchBudget,
+                     SearchResult, shortest_careful_reset, shortest_subset_reset)
 
 PFA_DEFINED = 0.85   # chance that a pfa transition is defined
 NFA_DENSITY = 0.3    # chance of each successor in an nfa cell
@@ -52,33 +60,50 @@ def random_subset(rng: random.Random, n: int) -> frozenset[int]:
     return frozenset(rng.sample(range(n), size))
 
 
+def _accepted(res: SearchResult) -> bool:
+    """Whether a rejection sampler keeps its draw.  A search stopped by the
+    budget decides nothing, so it raises rather than reject the draw."""
+    if res.status == BUDGET_EXCEEDED:
+        raise BudgetExceededError("rejection sampling undecided within budget")
+    return res.found
+
+
 def random_synchronizable_subset_dfa(rng: random.Random, n: int, letters: int,
-                                     ) -> tuple[Automaton, frozenset[int]]:
-    """A dfa with a synchronizable subset of at least two states."""
+                                     budget: Optional[SearchBudget] = None,
+                                     ) -> tuple[Automaton, frozenset[int], SearchResult]:
+    """A dfa with a synchronizable subset of at least two states, and the
+    subset's search under `budget` that accepted it."""
     while True:
         a = random_dfa(rng, n, letters)
         s = random_subset(rng, n)
-        if shortest_subset_reset(a, s).found:
-            return a, s
+        res = shortest_subset_reset(a, s, budget)
+        if _accepted(res):
+            return a, s, res
 
 
 def random_careful_subset_pfa(rng: random.Random, n: int, letters: int,
-                              ) -> tuple[Automaton, frozenset[int]]:
-    """A pfa with a carefully synchronizable subset of at least two states."""
+                              budget: Optional[SearchBudget] = None,
+                              ) -> tuple[Automaton, frozenset[int], SearchResult]:
+    """A pfa with a carefully synchronizable subset of at least two states,
+    and the subset's search under `budget` that accepted it."""
     while True:
         a = random_pfa(rng, n, letters)
         s = random_subset(rng, n)
-        if shortest_subset_reset(a, s).found:
-            return a, s
+        res = shortest_subset_reset(a, s, budget)
+        if _accepted(res):
+            return a, s, res
 
 
-def random_carefully_synchronizing_pfa(rng: random.Random, n: int,
-                                       letters: int) -> Automaton:
-    """A pfa whose whole state set has a careful reset word."""
+def random_carefully_synchronizing_pfa(rng: random.Random, n: int, letters: int,
+                                       budget: Optional[SearchBudget] = None,
+                                       ) -> tuple[Automaton, SearchResult]:
+    """A pfa whose whole state set has a careful reset word, and the
+    careful search under `budget` that accepted it."""
     while True:
         a = random_pfa(rng, n, letters)
-        if shortest_careful_reset(a).status == FOUND:
-            return a
+        res = shortest_careful_reset(a, budget)
+        if _accepted(res):
+            return a, res
 
 
 def random_connectable_pairs(rng: random.Random, a: Automaton,

@@ -650,7 +650,11 @@ def count_shortest_reset_words(a: Automaton, subset: Iterable[int],
 
     Counts words (not subset-graph paths) by level-synchronized dynamic
     programming, so a result of (L, 1) proves the shortest word unique.
-    The sets of every counting level, the start included, count against
+    Every prefix of a shortest word reaches its set at exactly the set's
+    BFS depth (from an earlier one the rest of the word would make a
+    shorter reset word), so a level keeps only the sets it discovers
+    first: the counting levels are the BFS levels of the unpruned search.
+    Their sets, the start included, count against
     `min(max_nodes, max_memory // node_bytes)`, as a search's `explored`
     does; past that it raises BudgetExceededError.
     """
@@ -667,7 +671,7 @@ def count_shortest_reset_words(a: Automaton, subset: Iterable[int],
     expand = _images(a, True)
     k = len(a.alphabet)
     ways: dict[int, int] = {start: 1}
-    walked = 1  # the sets of the counting levels
+    seen = {start}  # the sets of the counting levels
     hits = 0
     for _ in range(res.length):
         counts = list(ways.values())
@@ -675,12 +679,12 @@ def count_shortest_reset_words(a: Automaton, subset: Iterable[int],
         for j, u in enumerate(expand(list(ways))):
             if _is_singleton(u):
                 hits += counts[j // k]  # only on the last level: none exists earlier
-            elif u:
+            elif u and u not in seen:
                 nxt[u] = nxt.get(u, 0) + counts[j // k]
         ways = nxt
-        walked += len(ways)
-        if walked > cap:
-            raise BudgetExceededError(f"word counting exceeds budget at {walked} sets")
+        seen.update(ways)
+        if len(seen) > cap:
+            raise BudgetExceededError(f"word counting exceeds budget at {len(seen)} sets")
     return res.length, hits
 
 

@@ -18,7 +18,9 @@ parse(serialize(i)) == i byte-for-byte on re-serialization.
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import chain, count, repeat
+from operator import floordiv
+from typing import Callable, Optional
 
 from .automata import DFA, NFA, PFA, Alphabet, Automaton, Instance
 
@@ -38,17 +40,34 @@ def _int(tok: str, what: str, line: int) -> int:
         raise ParseError(f"{what} {tok!r} is not an integer", line) from None
 
 
-def parse(text: str) -> Instance:
-    header: list[tuple[int, list[str]]] = []
-    body: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if not content:
-            continue
-        toks = content.split()
-        (header if len(header) < 3 else body).append((lineno, toks))
+_SECTIONS = frozenset(("subset", "partition", "pairs", "labels"))
 
-    if len(header) < 3:
+
+class _Memo(dict):
+    """A dict that fills a missing key with `make(key)`, so a lookup that
+    hits stays one subscript."""
+
+    def __init__(self, make: Callable[[str], object]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: str):
+        value = self[key] = self.make(key)
+        return value
+
+
+def parse(text: str) -> Instance:
+    lines = enumerate(text.splitlines(), start=1)
+    header: list[tuple[int, list[str]]] = []
+    for lineno, raw in lines:
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        toks = raw.split()
+        if toks:
+            header.append((lineno, toks))
+            if len(header) == 3:
+                break
+    else:
         raise ParseError("incomplete header: need kind, states and letters lines")
     (l1, kind_toks), (l2, states_toks), (l3, letters_toks) = header
     if kind_toks[0] != "kind" or len(kind_toks) != 2:
@@ -68,29 +87,43 @@ def parse(text: str) -> Instance:
     except ValueError as e:
         raise ParseError(str(e), l3) from None
 
-    cells: dict[tuple[int, int], frozenset[int]] = {}
+    # Each distinct token is read once, on the first line that holds it,
+    # whose number `state` reads from the loop below: `ids` maps a state
+    # token to its checked state, `cell_of` a destination token to its
+    # cell.  A cell is keyed s * k + x.
+    def state(tok: str) -> int:
+        s = _int(tok, "state", lineno)
+        if not 0 <= s < n:
+            raise ParseError(f"state {s} out of range 0..{n - 1}", lineno)
+        return s
+
+    k = len(alphabet)
+    letter_of = {tok: x for x, tok in enumerate(alphabet.symbols)}
+    ids = _Memo(state)
+    cell_of = _Memo(lambda tok: frozenset(map(ids.__getitem__, tok.split(","))))
+    cell_of["-"] = frozenset()
+    cells: dict[int, frozenset[int]] = {}
     subset = None
     partition = None
     pairs = None
     labels: dict[int, str] = {}
     seen_sections: set[str] = set()
 
-    def check_state(s: int, line: int) -> int:
-        if not 0 <= s < n:
-            raise ParseError(f"state {s} out of range 0..{n - 1}", line)
-        return s
-
-    for lineno, toks in body:
+    for lineno, raw in lines:
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        toks = raw.split()
+        if not toks:
+            continue
         head = toks[0]
-        if head in ("subset", "partition", "pairs", "labels"):
+        if head in _SECTIONS:
             if head in seen_sections:
                 raise ParseError(f"duplicate {head} section", lineno)
             seen_sections.add(head)
             if head == "subset":
                 if len(toks) < 2:
                     raise ParseError("empty subset section", lineno)
-                subset = frozenset(check_state(_int(t, "state", lineno), lineno)
-                                   for t in toks[1:])
+                subset = frozenset(map(ids.__getitem__, toks[1:]))
             elif head == "partition":
                 blocks = []
                 spec = " ".join(toks[1:])
@@ -98,8 +131,7 @@ def parse(text: str) -> Instance:
                     members = [t for t in blk.split(",") if t]
                     if not members:
                         raise ParseError("empty partition block", lineno)
-                    blocks.append(frozenset(
-                        check_state(_int(t, "state", lineno), lineno) for t in members))
+                    blocks.append(frozenset(map(ids.__getitem__, members)))
                 partition = tuple(blocks)
             elif head == "pairs":
                 got = []
@@ -107,53 +139,44 @@ def parse(text: str) -> Instance:
                     if ":" not in t:
                         raise ParseError(f"pair {t!r} must be <r>:<q>", lineno)
                     r, q = t.split(":", 1)
-                    got.append((check_state(_int(r, "state", lineno), lineno),
-                                check_state(_int(q, "state", lineno), lineno)))
+                    got.append((ids[r], ids[q]))
                 pairs = tuple(got)
             else:
                 for t in toks[1:]:
                     if "=" not in t:
                         raise ParseError(f"label {t!r} must be <id>=<name>", lineno)
                     sid, name = t.split("=", 1)
-                    labels[check_state(_int(sid, "state", lineno), lineno)] = name
+                    labels[ids[sid]] = name
             continue
 
         if len(toks) != 3:
             raise ParseError("transition line must be `<src> <letter> <dst[,dst...]|->`",
                              lineno)
-        src = check_state(_int(toks[0], "state", lineno), lineno)
-        try:
-            letter = alphabet.index(toks[1])
-        except KeyError:
-            raise ParseError(f"unknown letter {toks[1]!r}", lineno) from None
-        if toks[2] == "-":
-            dsts: frozenset[int] = frozenset()
-        else:
-            dsts = frozenset(check_state(_int(t, "state", lineno), lineno)
-                             for t in toks[2].split(","))
-        key = (src, letter)
+        src, tok, dst = toks
+        s = ids[src]
+        x = letter_of.get(tok)
+        if x is None:
+            raise ParseError(f"unknown letter {tok!r}", lineno)
+        key = s * k + x
+        cell = cell_of[dst]
         if key in cells:
-            if kind in (DFA, PFA):
+            if kind != NFA:
                 raise ParseError(
-                    f"duplicate transition for state {src} letter {toks[1]!r}", lineno)
-            cells[key] = cells[key] | dsts
+                    f"duplicate transition for state {s} letter {tok!r}", lineno)
+            cells[key] |= cell
         else:
-            cells[key] = dsts
+            cells[key] = cell
 
-    k = len(alphabet)
     if kind == DFA and len(cells) < n * k:
-        s, x = next((s, x) for s in range(n) for x in range(k) if (s, x) not in cells)
+        s, x = divmod(next(key for key in count() if key not in cells), k)
         raise ParseError(f"dfa must be total: missing transition for state {s} "
                          f"letter {alphabet.symbols[x]!r}")
     # rows only for the states that have lines: the rest share one empty
     # row, so a file costs time in its lines, not in its declared states
     empty = frozenset()
-    rows: dict[int, list[frozenset[int]]] = {}
-    for (s, x), cell in cells.items():
-        rows.setdefault(s, [empty] * k)[x] = cell
     delta = [(empty,) * k] * n
-    for s, row in rows.items():
-        delta[s] = tuple(row)
+    for s in set(map(floordiv, cells, repeat(k))):
+        delta[s] = tuple(map(cells.get, range(s * k, s * k + k), repeat(empty)))
 
     label_tuple = None
     if labels:  # the default labels in one pass, then the given ones
@@ -170,17 +193,18 @@ def parse(text: str) -> Instance:
 
 def serialize(instance: Instance) -> str:
     a = instance.automaton
-    lines = [f"kind {a.kind}", f"states {a.n}", "letters " + " ".join(a.alphabet)]
-    for s in a.states:
-        for x, tok in enumerate(a.alphabet):
-            cell = a.delta[s][x]
-            dst = ",".join(str(t) for t in sorted(cell)) if cell else "-"
-            lines.append(f"{s} {tok} {dst}")
+    symbols = a.alphabet.symbols
+    # each distinct cell written once, successors ascending, `-` when empty
+    text_of = {cell: ",".join(map(str, sorted(cell))) or "-"
+               for cell in set(chain.from_iterable(a.delta))}
+    lines = [f"kind {a.kind}", f"states {a.n}", "letters " + " ".join(symbols)]
+    for s, row in enumerate(a.delta):  # `<s> <letter> <dst>` per cell
+        lines.extend(map(f"{s} {{}} {{}}".format, symbols, map(text_of.__getitem__, row)))
     if instance.subset is not None:
-        lines.append("subset " + " ".join(str(s) for s in sorted(instance.subset)))
+        lines.append("subset " + " ".join(map(str, sorted(instance.subset))))
     # an empty section is its bare keyword, with no trailing space
     if instance.partition is not None:
-        blocks = "|".join(",".join(str(s) for s in sorted(b)) for b in instance.partition)
+        blocks = "|".join(",".join(map(str, sorted(b))) for b in instance.partition)
         lines.append(f"partition {blocks}" if blocks else "partition")
     if instance.pairs is not None:
         pairs = " ".join(f"{r}:{q}" for r, q in instance.pairs)

@@ -149,26 +149,29 @@ def test_criterion_05_reduction_roundtrips():
             violations.append((op, i, [n for n, p in rep.checks if not p]))
 
     for i in range(count):
-        a, s = random_careful_subset_pfa(rng, rng.randint(2, 6), rng.randint(2, 3))
-        note("add-sinks", run_reduction("add-sinks", Instance(a, s)), i)
+        a, s, res = random_careful_subset_pfa(rng, rng.randint(2, 6), rng.randint(2, 3))
+        note("add-sinks", run_reduction("add-sinks", Instance(a, s),
+                                        input_search=res), i)
 
-        b = random_carefully_synchronizing_pfa(rng, rng.randint(2, 6), 2)
+        b, res = random_carefully_synchronizing_pfa(rng, rng.randint(2, 6), 2)
         pairs = random_connectable_pairs(rng, b, min_arcs=1)
-        note("connect", run_reduction("connect", Instance(b), pairs=pairs), i)
+        note("connect", run_reduction("connect", Instance(b), pairs=pairs,
+                                      input_search=res), i)
 
-        c, sc = random_synchronizable_subset_dfa(rng, rng.randint(2, 6), 2)
+        c, sc, res = random_synchronizable_subset_dfa(rng, rng.randint(2, 6), 2)
         pairs = random_connectable_pairs(rng, c, min_arcs=2)
-        note("double", run_reduction("double", Instance(c, sc), pairs=pairs), i)
+        note("double", run_reduction("double", Instance(c, sc), pairs=pairs,
+                                     input_search=res), i)
 
-        d, sd = random_careful_subset_pfa(rng, rng.randint(2, 6), 2)
+        d, sd, _ = random_careful_subset_pfa(rng, rng.randint(2, 6), 2)
         seed_state = min(sd)
         qrel, _ = relevant_part(d, (seed_state,))
         note("restart", run_reduction(
             "restart", Instance(d, frozenset((seed_state,)), (qrel,))), i)
 
-        e, se = random_synchronizable_subset_dfa(rng, rng.randint(2, 5),
-                                                 rng.randint(2, 3))
-        rep = run_reduction("binarize", Instance(e, se))
+        e, se, res = random_synchronizable_subset_dfa(rng, rng.randint(2, 5),
+                                                      rng.randint(2, 3))
+        rep = run_reduction("binarize", Instance(e, se), input_search=res)
         note("binarize", rep, i)
         for _ in range(5):  # both directions of the word correspondence
             w = tuple(rng.randrange(len(e.alphabet))
@@ -275,8 +278,7 @@ def test_criterion_09_pfa_directing_modes():
     bad = 0
     for _ in range(count):
         n = rng.randint(2, 6)
-        a = random_carefully_synchronizing_pfa(rng, n, rng.randint(2, 3))
-        car = shortest_careful_reset(a)
+        a, car = random_carefully_synchronizing_pfa(rng, n, rng.randint(2, 3))
         d1 = directing_word(a, "d1")
         d2 = directing_word(a, "d2")
         d3 = directing_word(a, "d3")

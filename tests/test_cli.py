@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from syncwords import search
 from syncwords.cli import main
 from syncwords.families import debruijn_counter
 from syncwords.textio import load, save
@@ -351,6 +352,39 @@ def test_verify_debruijn_without_a_sequence_exits_1(tmp_path, capsys, text):
     code, out, err = run_cli(capsys, "verify", str(path), "--check", "debruijn")
     assert (code, out) == (1, "")
     assert "no sequence" in err
+
+
+@pytest.mark.parametrize("text", ["abc\n", "0121\n"], ids=["length-3", "length-4"])
+def test_verify_debruijn_rejects_non_binary_text(tmp_path, capsys, text):
+    # one answer whether or not the length is a power of two
+    path = tmp_path / "seq.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", str(path), "--check", "debruijn")
+    assert (code, out) == (1, "")
+    assert "sequence must be binary" in err
+
+
+def test_reduction_suites_and_chains_search_nothing_twice(monkeypatch, capsys):
+    # a search is handed to the code that needs it: the samplers' searches
+    # are the reductions' input searches, and a chain stage's output search
+    # is the next stage's input search
+    searched = []  # keeps every automaton alive, so no id is reused
+    original = search._reset_search
+
+    def counted(a, start, careful, budget, negative):
+        searched.append((a, (id(a), start, careful, negative,
+                             budget or search.DEFAULT_BUDGET)))
+        return original(a, start, careful, budget, negative)
+
+    monkeypatch.setattr(search, "_reset_search", counted)
+    for argv in (["experiment", "reduction-roundtrips", "--count", "20"],
+                 ["experiment", "nfa-modes", "--count", "20"],
+                 ["reduce", "--op", "chain", "--m", "2", "--variant", "subset"],
+                 ["reduce", "--op", "chain", "--m", "2", "--variant", "careful"]):
+        searched.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        keys = [key for _, key in searched]
+        assert keys and len(set(keys)) == len(keys), argv
 
 
 def test_negative_witness_limit_is_rejected(counter_file, capsys):

@@ -31,11 +31,10 @@ def test_add_sinks_one_state():
 def test_add_sinks_counts_and_gap():
     rng = random.Random(3)
     for _ in range(15):
-        a, s = random_careful_subset_pfa(rng, rng.randint(2, 6), rng.randint(2, 3))
+        a, s, before = random_careful_subset_pfa(rng, rng.randint(2, 6), rng.randint(2, 3))
         out = add_sink_determinization(a, s)
         assert out.automaton.n == a.n + 2
         assert len(out.automaton.alphabet) == len(a.alphabet) + 1
-        before = shortest_subset_reset(a, s)
         after = shortest_subset_reset(out.automaton, out.subset)
         assert after.length == before.length + 1
 
@@ -68,12 +67,11 @@ def test_link_letters_rejects_useless_arcs():
 def test_link_letters_preserves_careful_length():
     rng = random.Random(13)
     for _ in range(15):
-        a = random_carefully_synchronizing_pfa(rng, rng.randint(2, 6), 2)
+        a, before = random_carefully_synchronizing_pfa(rng, rng.randint(2, 6), 2)
         pairs = random_connectable_pairs(rng, a, min_arcs=1)
         out = add_link_letters(a, pairs)
         assert is_strongly_connected(out.automaton)
         assert len(out.automaton.alphabet) == len(a.alphabet) + len(pairs)
-        before = shortest_careful_reset(a)
         after = shortest_careful_reset(out.automaton)
         assert after.length == before.length
         assert all(x < len(a.alphabet) for x in after.witness)
@@ -88,7 +86,7 @@ def test_doubling_requires_two_arcs():
 def test_doubling_structure():
     rng = random.Random(29)
     for _ in range(15):
-        a, s = random_synchronizable_subset_dfa(rng, rng.randint(2, 6), 2)
+        a, s, _ = random_synchronizable_subset_dfa(rng, rng.randint(2, 6), 2)
         pairs = random_connectable_pairs(rng, a, min_arcs=2)
         out = swap_doubling(a, s, pairs)
         b = out.automaton
@@ -166,8 +164,8 @@ def test_encode_decode():
 def test_binarize_word_correspondence():
     rng = random.Random(31)
     for _ in range(15):
-        a, s = random_synchronizable_subset_dfa(rng, rng.randint(2, 5),
-                                                rng.randint(2, 3))
+        a, s, _ = random_synchronizable_subset_dfa(rng, rng.randint(2, 5),
+                                                   rng.randint(2, 3))
         out = binarize(a, s)
         for _ in range(10):
             w = tuple(rng.randrange(len(a.alphabet)) for _ in range(rng.randint(0, 6)))
@@ -179,7 +177,7 @@ def test_binarize_word_correspondence():
 def test_binarize_witness_decodes():
     rng = random.Random(37)
     for _ in range(10):
-        a, s = random_synchronizable_subset_dfa(rng, rng.randint(2, 5), 2)
+        a, s, _ = random_synchronizable_subset_dfa(rng, rng.randint(2, 5), 2)
         out = binarize(a, s)
         res = shortest_subset_reset(out.automaton, out.subset)
         decoded = decode_word(res.witness)
@@ -202,9 +200,9 @@ def test_binarize_careful_reorders_alphabet():
 def test_binarize_careful_preserves_synchronization():
     rng = random.Random(41)
     for _ in range(10):
-        a = random_carefully_synchronizing_pfa(rng, rng.randint(2, 5), rng.randint(2, 3))
+        a, before = random_carefully_synchronizing_pfa(rng, rng.randint(2, 5),
+                                                       rng.randint(2, 3))
         out = binarize(a)
-        before = shortest_careful_reset(a)
         after = shortest_careful_reset(out.automaton)
         assert after.found
         assert after.length >= before.length
@@ -212,11 +210,53 @@ def test_binarize_careful_preserves_synchronization():
 
 def test_run_reduction_records_roundtrip():
     rng = random.Random(47)
-    a, s = random_synchronizable_subset_dfa(rng, 4, 2)
-    rep = run_reduction("binarize", Instance(a, s))
+    a, s, res = random_synchronizable_subset_dfa(rng, 4, 2)
+    rep = run_reduction("binarize", Instance(a, s), input_search=res)
     assert rep.ok
     assert dict(rep.checks)["output serialization round-trips"]
     assert parse(serialize(rep.output)) == rep.output
+
+
+def test_samplers_return_the_search_that_accepted_the_draw():
+    rng = random.Random(53)
+    a, s, res = random_synchronizable_subset_dfa(rng, 5, 2)
+    assert res.found and res == shortest_subset_reset(a, s)
+    a, s, res = random_careful_subset_pfa(rng, 5, 2)
+    assert res.found and res == shortest_subset_reset(a, s)
+    a, res = random_carefully_synchronizing_pfa(rng, 5, 2)
+    assert res.found and res == shortest_careful_reset(a)
+
+
+@pytest.mark.parametrize("sample", [
+    lambda rng, budget: random_synchronizable_subset_dfa(rng, 6, 2, budget),
+    lambda rng, budget: random_careful_subset_pfa(rng, 6, 2, budget),
+    lambda rng, budget: random_carefully_synchronizing_pfa(rng, 6, 2, budget),
+], ids=["subset-dfa", "subset-pfa", "careful-pfa"])
+def test_samplers_raise_when_the_budget_stops_a_search(sample):
+    # a stopped search decides nothing about the draw, so it is not rejected
+    with pytest.raises(BudgetExceededError, match="undecided within budget"):
+        sample(random.Random(7), SearchBudget(max_nodes=1))
+
+
+@pytest.mark.parametrize("name", ["add-sinks", "connect", "double", "binarize"])
+def test_a_handed_in_input_search_gives_the_same_report(name):
+    rng = random.Random(59)
+    if name == "add-sinks":
+        a, s, res = random_careful_subset_pfa(rng, 5, 2)
+        instance, pairs = Instance(a, s), None
+    elif name == "connect":
+        a, res = random_carefully_synchronizing_pfa(rng, 5, 2)
+        instance, pairs = Instance(a), random_connectable_pairs(rng, a, min_arcs=1)
+    else:
+        a, s, res = random_synchronizable_subset_dfa(rng, 5, 2)
+        instance = Instance(a, s)
+        pairs = random_connectable_pairs(rng, a, min_arcs=2) if name == "double" else None
+    rep = run_reduction(name, instance, pairs=pairs, input_search=res)
+    assert rep.ok
+    assert rep == run_reduction(name, instance, pairs=pairs)
+    out = rep.output
+    assert rep.output_search == (shortest_careful_reset(out.automaton) if out.subset is None
+                                 else shortest_subset_reset(out.automaton, out.subset))
 
 
 def test_run_reduction_raises_when_a_search_hits_the_budget():

@@ -253,8 +253,8 @@ def test_careful_upper_bound_on_random_instances():
     rng = random.Random(5)
     for _ in range(25):
         n = rng.randint(2, 7)
-        a = random_carefully_synchronizing_pfa(rng, n, rng.randint(2, 3))
-        res = shortest_careful_reset(a)
+        a, res = random_carefully_synchronizing_pfa(rng, n, rng.randint(2, 3))
+        assert res == shortest_careful_reset(a)
         assert res.found
         assert res.length <= 2 ** n - n - 1
         image = replay(a, a.states, res.witness)
@@ -388,11 +388,21 @@ def test_count_shortest_reset_words():
                                     SearchBudget(max_memory=200 * search._node_bytes(25))],
                          ids=["nodes", "memory"])
 def test_word_counting_respects_the_caps(budget):
-    # the search fits in 200 sets; the counting levels hold about 30,000
+    # the search fits in 200 sets; the counting levels hold 945
     ci = debruijn_counter(4)
     assert shortest_subset_reset(ci.automaton, ci.subset, budget).explored == 148
     with pytest.raises(BudgetExceededError, match="word counting"):
         count_shortest_reset_words(ci.automaton, ci.subset, budget)
+
+
+def test_word_counting_walks_each_set_once():
+    # each set is counted on the level that first discovers it, so the
+    # levels hold 945 sets in all, not 31,317
+    ci = debruijn_counter(4)
+    budget = SearchBudget(max_nodes=1000)
+    assert count_shortest_reset_words(ci.automaton, ci.subset, budget) == (46, 1)
+    with pytest.raises(BudgetExceededError, match="at 945 sets"):
+        count_shortest_reset_words(ci.automaton, ci.subset, SearchBudget(max_nodes=944))
 
 
 def test_count_agrees_with_oracle():
@@ -458,7 +468,7 @@ def test_relevant_part_counter_m2():
 def test_relevant_part_restriction_stays_inside():
     rng = random.Random(41)
     for _ in range(10):
-        a, s = random_careful_subset_pfa(rng, 5, 2)
+        a, s, _ = random_careful_subset_pfa(rng, 5, 2)
         qrel, sub = relevant_part(a, s)
         order = sorted(qrel)
         for row in sub.delta:
@@ -499,7 +509,7 @@ def test_swap_congruence_blindness():
     from syncwords.sampling import random_connectable_pairs
     hits = 0
     while hits < 8:
-        a, s = random_synchronizable_subset_dfa(rng, rng.randint(2, 5), 2)
+        a, s, _ = random_synchronizable_subset_dfa(rng, rng.randint(2, 5), 2)
         pairs = random_connectable_pairs(rng, a, min_arcs=2)
         doubled = swap_doubling(a, s, pairs)
         assert is_swap_congruence(doubled.automaton, doubled.partition)
@@ -579,8 +589,7 @@ def test_d2_accepts_killing_everything():
 def test_pfa_modes_match_careful():
     rng = random.Random(77)
     for _ in range(20):
-        a = random_carefully_synchronizing_pfa(rng, rng.randint(2, 6), 2)
-        car = shortest_careful_reset(a)
+        a, car = random_carefully_synchronizing_pfa(rng, rng.randint(2, 6), 2)
         d1 = directing_word(a, "d1")
         d2 = directing_word(a, "d2")
         d3 = directing_word(a, "d3")
@@ -766,11 +775,10 @@ def test_composition_cerny4():
 def test_composition_matches_subset_reset():
     rng = random.Random(111)
     for _ in range(10):
-        a, s = random_synchronizable_subset_dfa(rng, rng.randint(2, 5), 2)
+        a, s, expected = random_synchronizable_subset_dfa(rng, rng.randint(2, 5), 2)
         gens = [tuple(next(iter(a.delta[q][x])) for q in a.states)
                 for x in range(len(a.alphabet))]
         res = composition_depth(a.n, gens, merging_target(s))
-        expected = shortest_subset_reset(a, s)
         assert res.length == max(expected.length, 1)
 
 

@@ -55,6 +55,10 @@ def test_nfa_multi_successors():
 def test_nfa_duplicate_lines_union():
     text = "kind nfa\nstates 2\nletters a\n0 a 0\n0 a 1\n1 a -\n"
     assert parse(text).automaton.delta[0][0] == frozenset({0, 1})
+    # the cell of token `1` is read once; merging into (0, a) must not change it
+    text = "kind nfa\nstates 2\nletters a b\n0 a 1\n0 a 0\n1 a 1\n0 b 1\n"
+    assert parse(text).automaton.delta == ((frozenset({0, 1}), frozenset({1})),
+                                           (frozenset({1}), frozenset()))
 
 
 @pytest.mark.parametrize(
@@ -68,6 +72,15 @@ def test_nfa_duplicate_lines_union():
         ("kind dfa\nstates 1\nletters a\n0 a 0\n0 a 0\n", 5, "duplicate"),
         ("kind pfa\nstates 1\nletters a\n0 a 0\n0 a -\n", 5, "duplicate"),
         ("kind dfa\nstates 2\nletters a\nsubset 0 9\n0 a 0\n1 a 1\n", 4, "out of range"),
+        # a bad token is reported on the first line that holds it
+        ("kind pfa\nstates 2\nletters a b\n0 a 1,7\n1 a 1,7\n", 4, "state 7 out of range"),
+        ("kind pfa\nstates 2\nletters a b\n0 a 1\n1 x 1\n0 b 1\n1 a x\n1 b x\n",
+         5, "unknown letter 'x'"),
+        # a merged nfa cell leaves the memoized cell of its token as it was
+        ("kind nfa\nstates 2\nletters a\n0 a 1\n0 a 0\n1 a 1\n1 a 1,2\n", 7,
+         "state 2 out of range"),
+        # a comment after a transition is not part of it
+        ("kind dfa\nstates 1\nletters a\n0 a 0 # 0 a 0\n0 a 0#\n", 5, "duplicate"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
