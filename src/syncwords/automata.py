@@ -7,14 +7,15 @@ transition table maps every (state, letter) cell to a frozenset of
 successors (exactly one for dfa, at most one for pfa).
 
 All values are immutable after construction and every operation here is
-a pure function, so instances can be shared freely across threads.
+a pure function, so instances can be shared freely across threads.  The
+one mutable type, `Memo`, is a cache of a pure function, not a value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 DFA = "dfa"
 PFA = "pfa"
@@ -24,6 +25,20 @@ KINDS = (DFA, PFA, NFA)
 Word = tuple[int, ...]
 StateSet = frozenset[int]
 Pair = tuple[int, int]
+
+
+class Memo(dict):
+    """A cache: a dict that fills a missing key with `make(key)`, so a
+    lookup that hits stays one subscript.  It is mutable, unlike the
+    values of this module; `make` must be a pure function of the key."""
+
+    def __init__(self, make: Callable[[Hashable], object]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Hashable):
+        value = self[key] = self.make(key)
+        return value
 
 
 @dataclass(frozen=True)

@@ -280,8 +280,8 @@ def _verify_counter(instance: Instance, m: int, xi: Optional[str],
     word = counting_word(m)
     image = run(a, ci.subset, word)
     add("counting word synchronizes", image == frozenset((ci.drain,)))
-    if m <= 4:
-        res = shortest_subset_reset(a, ci.subset, budget)
+    if m <= 8:  # the threshold table's range; at m = 8 these take about a second
+        res = shortest_subset_reset(a, ci.subset, budget).decided("counter search")
         add("search matches the counting word", res.witness == word,
             f"length {res.length}")
         add("witness language shape", block_language_shape(res.witness, ci.k))
@@ -340,22 +340,14 @@ def cmd_verify(args) -> Outcome:
 # --- experiment suites ---------------------------------------------------------
 
 
-def _decided(res: SearchResult, what: str) -> SearchResult:
-    """A suite's search result.  A search stopped by the budget leaves the
-    suite's check undecided, so it raises (exit 3) rather than fail it."""
-    if res.status == BUDGET_EXCEEDED:
-        raise BudgetExceededError(f"{what} undecided within budget")
-    return res
-
-
 def _suite_thresholds(args, budget) -> tuple[list[dict], list[dict]]:
     rows, checks = [], []
     for m in (2, 4, 8):
         ci = debruijn_counter(m)
         word = counting_word(m)
         formula = (2 ** m - 1) * (ci.k + 1) + 1
-        res = _decided(shortest_subset_reset(ci.automaton, ci.subset, budget),
-                       f"counter m={m}")
+        res = shortest_subset_reset(ci.automaton, ci.subset, budget).decided(
+            f"counter m={m}")
         measured = res.length
         rows.append({
             "m": m, "n": ci.automaton.n, "letters": 4, "mode": "subset",
@@ -469,7 +461,7 @@ def _suite_oracle_cross(args, budget) -> tuple[list[dict], list[dict]]:
             modes = (D1, D2, D3)
         ok = True
         for mode in modes:
-            res = _decided(shortest_word(a, s, mode, budget), f"{mode} search")
+            res = shortest_word(a, s, mode, budget).decided(f"{mode} search")
             oracle = brute_force_oracle(a, s, mode, 10)
             total += 1
             if res.found and res.length <= 10:
@@ -491,7 +483,7 @@ def _suite_nfa_modes(args, budget) -> tuple[list[dict], list[dict]]:
     for i in range(count):
         n = rng.randint(2, 6)
         a, car = random_carefully_synchronizing_pfa(rng, n, rng.randint(2, 3), budget)
-        d1, d2, d3 = (_decided(directing_word(a, mode, budget), f"{mode} search")
+        d1, d2, d3 = (directing_word(a, mode, budget).decided(f"{mode} search")
                       for mode in (D1, D2, D3))
         if not (d1.length == d3.length == car.length
                 and d2.found and d2.length <= d1.length
@@ -507,9 +499,8 @@ def _suite_composition(args, budget) -> tuple[list[dict], list[dict]]:
     inst = cerny(4)
     a = inst.automaton
     gens = [tuple(next(iter(a.delta[s][x])) for s in a.states) for x in range(2)]
-    res = _decided(composition_depth(4, gens, constant_target, budget),
-                   "composition depth")
-    reset = _decided(shortest_reset(a, budget), "reset search")
+    res = composition_depth(4, gens, constant_target, budget).decided("composition depth")
+    reset = shortest_reset(a, budget).decided("reset search")
     rows = [{"generators": 2, "target": "constant", "depth": res.length,
              "reset_length": reset.length}]
     checks = [{"name": "composition depth equals reset length",

@@ -30,8 +30,7 @@ from .automata import (DFA, PFA, Alphabet, Automaton, Instance, Pair,
                        StateSet, Word, augmentation_connects,
                        is_strongly_connected, restrict, run)
 from .families import counting_word, debruijn_counter
-from .search import (BLIND, BUDGET_EXCEEDED, BlindSubsetError,
-                     BudgetExceededError, SearchBudget, SearchResult,
+from .search import (BLIND, BlindSubsetError, SearchBudget, SearchResult,
                      check_transversal_partition, is_swap_congruence, replay,
                      shortest_careful_reset, shortest_subset_reset)
 from .textio import parse, serialize
@@ -71,17 +70,15 @@ def _shortest(a: Automaton, subset: Optional[StateSet],
               known: Optional[SearchResult] = None) -> SearchResult:
     """Careful search of the subset, or of all states when it is None;
     `known` is that search's result when the caller has made it under
-    `budget`.  A search stopped by the budget raises: it decides no
-    length."""
+    `budget`.  A search stopped by the budget decides no length, so it
+    raises BudgetExceededError (`SearchResult.decided`)."""
     if known is not None:
         res = known
     elif subset is None:
         res = shortest_careful_reset(a, budget)
     else:
         res = shortest_subset_reset(a, subset, budget)
-    if res.status == BUDGET_EXCEEDED:
-        raise BudgetExceededError("could not synchronize the subset within budget")
-    return res
+    return res.decided("careful search")
 
 
 def _sync_target(a: Automaton, subset: StateSet, budget: Optional[SearchBudget],

@@ -2,8 +2,9 @@
 
 The rejection samplers draw until the engine accepts a draw, and return
 that search with the instance, so a caller that needs the same search
-uses it rather than repeating it.  They search under the caller's budget
-and raise BudgetExceededError when it stops a search.
+uses it rather than repeating it.  They search under the caller's budget;
+a search it stops decides nothing about the draw, so the sampler raises
+BudgetExceededError (`SearchResult.decided`) rather than reject it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import string
 from typing import Optional
 
 from .automata import (Alphabet, Automaton, DFA, NFA, PFA, Pair, augmenting_pairs)
-from .search import (BUDGET_EXCEEDED, BudgetExceededError, SearchBudget,
-                     SearchResult, shortest_careful_reset, shortest_subset_reset)
+from .search import (SearchBudget, SearchResult, shortest_careful_reset,
+                     shortest_subset_reset)
 
 PFA_DEFINED = 0.85   # chance that a pfa transition is defined
 NFA_DENSITY = 0.3    # chance of each successor in an nfa cell
@@ -60,14 +61,6 @@ def random_subset(rng: random.Random, n: int) -> frozenset[int]:
     return frozenset(rng.sample(range(n), size))
 
 
-def _accepted(res: SearchResult) -> bool:
-    """Whether a rejection sampler keeps its draw.  A search stopped by the
-    budget decides nothing, so it raises rather than reject the draw."""
-    if res.status == BUDGET_EXCEEDED:
-        raise BudgetExceededError("rejection sampling undecided within budget")
-    return res.found
-
-
 def random_synchronizable_subset_dfa(rng: random.Random, n: int, letters: int,
                                      budget: Optional[SearchBudget] = None,
                                      ) -> tuple[Automaton, frozenset[int], SearchResult]:
@@ -76,8 +69,8 @@ def random_synchronizable_subset_dfa(rng: random.Random, n: int, letters: int,
     while True:
         a = random_dfa(rng, n, letters)
         s = random_subset(rng, n)
-        res = shortest_subset_reset(a, s, budget)
-        if _accepted(res):
+        res = shortest_subset_reset(a, s, budget).decided("rejection sampling")
+        if res.found:
             return a, s, res
 
 
@@ -89,8 +82,8 @@ def random_careful_subset_pfa(rng: random.Random, n: int, letters: int,
     while True:
         a = random_pfa(rng, n, letters)
         s = random_subset(rng, n)
-        res = shortest_subset_reset(a, s, budget)
-        if _accepted(res):
+        res = shortest_subset_reset(a, s, budget).decided("rejection sampling")
+        if res.found:
             return a, s, res
 
 
@@ -101,8 +94,8 @@ def random_carefully_synchronizing_pfa(rng: random.Random, n: int, letters: int,
     careful search under `budget` that accepted it."""
     while True:
         a = random_pfa(rng, n, letters)
-        res = shortest_careful_reset(a, budget)
-        if _accepted(res):
+        res = shortest_careful_reset(a, budget).decided("rejection sampling")
+        if res.found:
             return a, res
 
 

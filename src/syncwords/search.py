@@ -48,8 +48,11 @@ of discovered sets would prune more but costs a subset test against
 many sets; pairs already catch all the pruning of the switch counter.  `relevant_part`,
 `check_transversal_partition`, `count_shortest_reset_words`, the
 directing and composition searches and the oracle stay unpruned: the
-first three need the whole subset graph, and the goals of the others are
-not kept by shrinking a set (empty nfa images, D2, composition targets).
+first two need the whole subset graph, the count needs every word
+through the levels up to the first singleton (a pruned set's words keep
+the length and the least witness, not their number), and the goals of
+the others are not kept by shrinking a set (empty nfa images, D2,
+composition targets).
 `explored` counts every discovered set, pruned ones included, and
 `max_nodes` caps that count.
 
@@ -81,13 +84,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import chain, compress, count, repeat
 from math import inf
 from operator import and_, eq, mul, not_, or_, rshift
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .automata import DFA, PFA, Automaton, StateSet, Word, restrict
+from .automata import DFA, PFA, Automaton, Memo, StateSet, Word, restrict
 
 FOUND = "found"
 BLIND = "blind"
@@ -139,6 +142,14 @@ class SearchResult:
     @property
     def found(self) -> bool:
         return self.status == FOUND
+
+    def decided(self, what: str) -> SearchResult:
+        """The result itself, unless the budget stopped the search: a
+        stopped search decides nothing about `what`, so it raises."""
+        if self.status == BUDGET_EXCEEDED:
+            raise BudgetExceededError(
+                f"{what} undecided within budget after {self.explored} nodes")
+        return self
 
 
 @lru_cache(maxsize=128)
@@ -484,10 +495,7 @@ def shortest_subset_reset(a: Automaton, subset: Iterable[int],
 def is_blind(a: Automaton, subset: Iterable[int],
              budget: Optional[SearchBudget] = None) -> bool:
     """True iff no careful reset word of the subset exists."""
-    res = shortest_subset_reset(a, subset, budget)
-    if res.status == BUDGET_EXCEEDED:
-        raise BudgetExceededError("blindness undecided within budget")
-    return res.status == BLIND
+    return shortest_subset_reset(a, subset, budget).decided("blindness").status == BLIND
 
 
 def replay(a: Automaton, start: Iterable[int], word: Sequence[int]) -> Optional[StateSet]:
@@ -537,9 +545,8 @@ def relevant_part(a: Automaton, subset: Iterable[int],
         stack.extend(filter(_is_singleton, fresh))
         return None, fresh
 
-    res = _bfs(_subset_mask(a, subset), expand, goal, budget, _node_bytes(a.n), BLIND, a.n)
-    if res.status == BUDGET_EXCEEDED:
-        raise BudgetExceededError(f"subset graph exceeds budget at {res.explored} nodes")
+    _bfs(_subset_mask(a, subset), expand, goal, budget, _node_bytes(a.n), BLIND,
+         a.n).decided("relevant part")
     if not stack:
         raise BlindSubsetError("subset is blind: no careful reset word exists")
     alive = set(stack)  # sets from which a singleton is reachable
@@ -630,11 +637,10 @@ def check_transversal_partition(a: Automaton, subset: Iterable[int],
         synchronized = synchronized or len(keep) < len(fresh)
         return hit, keep
 
-    res = _bfs(start, expand, goal, budget, _node_bytes(a.n), BLIND, a.n)
+    res = _bfs(start, expand, goal, budget, _node_bytes(a.n), BLIND,
+               a.n).decided("transversal partition")
     if res.found:
         return TransversalViolation(res.witness, set_of(violation))
-    if res.status == BUDGET_EXCEEDED:
-        raise BudgetExceededError("transversal traversal exceeds budget")
     if not synchronized:
         raise BlindSubsetError(
             "no careful reset word inside the block domain "
@@ -648,44 +654,42 @@ def count_shortest_reset_words(a: Automaton, subset: Iterable[int],
     """Shortest careful reset length of the subset and the number of
     distinct words of that length, or None if the subset is blind.
 
-    Counts words (not subset-graph paths) by level-synchronized dynamic
-    programming, so a result of (L, 1) proves the shortest word unique.
-    Every prefix of a shortest word reaches its set at exactly the set's
-    BFS depth (from an earlier one the rest of the word would make a
-    shorter reset word), so a level keeps only the sets it discovers
-    first: the counting levels are the BFS levels of the unpruned search.
-    Their sets, the start included, count against
-    `min(max_nodes, max_memory // node_bytes)`, as a search's `explored`
-    does; past that it raises BudgetExceededError.
+    Counts words (not subset-graph paths) by dynamic programming over the
+    levels of one unpruned search, so a result of (L, 1) proves the
+    shortest word unique.  Every prefix of a shortest word reaches its set
+    at exactly the set's BFS depth (from an earlier one the rest of the
+    word would make a shorter reset word), so a set's count sums its
+    parents' counts over the edges from the level before its own, and the
+    answer sums them over the edges into singletons.  The search stops on
+    the level of the first singleton, and its cap is the search's: the
+    sets are counted as `explored` is, the start included, against
+    `min(max_nodes, max_memory // node_bytes)`, and past it the count
+    raises BudgetExceededError.
     """
-    budget = budget or DEFAULT_BUDGET
-    start = _subset_mask(a, subset)
-    res = shortest_subset_reset(a, set_of(start), budget)
-    if res.status == BUDGET_EXCEEDED:
-        raise BudgetExceededError("word counting undecided within budget")
-    if not res.found:
-        return None
-    if res.length == 0:
-        return 0, 1
-    cap = min(budget.max_nodes, budget.max_memory // _node_bytes(a.n))
-    expand = _images(a, True)
+    if a.kind not in (DFA, PFA):
+        raise ValueError("word counting requires a dfa or pfa")
+    images = _images(a, True)
     k = len(a.alphabet)
-    ways: dict[int, int] = {start: 1}
-    seen = {start}  # the sets of the counting levels
-    hits = 0
-    for _ in range(res.length):
-        counts = list(ways.values())
-        nxt: dict[int, int] = {}
-        for j, u in enumerate(expand(list(ways))):
+    start = _subset_mask(a, subset)
+    ways = {start: 1}  # every set discovered -> the words reaching it at its depth
+    hits = int(_is_singleton(start))  # the empty word resets a singleton start
+
+    def expand(frontier: list[int]) -> list[int]:
+        nonlocal hits
+        flat = images(frontier)
+        counts = list(map(ways.__getitem__, frontier))
+        level: dict[int, int] = {}  # the sets new on this level
+        for j, u in enumerate(flat):
             if _is_singleton(u):
-                hits += counts[j // k]  # only on the last level: none exists earlier
-            elif u and u not in seen:
-                nxt[u] = nxt.get(u, 0) + counts[j // k]
-        ways = nxt
-        seen.update(ways)
-        if len(seen) > cap:
-            raise BudgetExceededError(f"word counting exceeds budget at {len(seen)} sets")
-    return res.length, hits
+                hits += counts[j // k]
+            elif u and u not in ways:
+                level[u] = level.get(u, 0) + counts[j // k]
+        ways.update(level)
+        return flat
+
+    res = _bfs(start, expand, _first_hit(_is_singleton), budget, _node_bytes(a.n),
+               BLIND, a.n).decided("word counting")
+    return (res.length, hits) if res.found else None
 
 
 # --- directing words for nfa -------------------------------------------------
@@ -757,77 +761,15 @@ def shortest_word(a: Automaton, subset: Optional[Iterable[int]], mode: str,
 # --- brute-force oracle ------------------------------------------------------
 
 
-class _ImageMemo(dict):
-    """The image of a mask under one letter, keyed by the mask.  A mask
-    seen for the first time runs the bit loop over the letter's successor
-    column once; the memo caches that pure function of the mask and merges
-    no words."""
-
-    def __init__(self, column: Sequence[int]) -> None:
-        super().__init__()
-        self.column = column
-
-    def __missing__(self, m: int) -> int:
-        u = 0
-        t = m
-        while t:
-            b = t & -t
-            u |= self.column[b.bit_length() - 1]
-            t ^= b
-        self[m] = u
-        return u
-
-
-class _ExpansionMemo(dict):
-    """A mask's expansion in the classic, careful and subset modes, keyed by
-    the mask: (hit, tested, extend).  Letters are taken in order, skipping
-    those the careful rule forbids on the mask.  `hit` is the first letter
-    whose image is one state, or None; `tested` counts the applicable
-    letters up to and including it, or all of them when there is none; and
-    `extend` lists the (letter, image) pairs before it whose image has two
-    or more states.  A mask seen for the first time reads the per-letter
-    `_ImageMemo`s once; the memo caches that pure function of the mask and
-    merges no words."""
-
-    def __init__(self, steps: Sequence[tuple[int, _ImageMemo, int]]) -> None:
-        super().__init__()
-        self.steps = steps
-
-    def __missing__(self, t: int) -> tuple[Optional[int], int, list[tuple[int, int]]]:
-        hit = None
-        tested = 0
-        extend = []
-        for x, memo, d in self.steps:
-            if t & d != t:
-                continue
-            u = memo[t]
-            tested += 1
-            if u & (u - 1):  # two or more states: extend
-                extend.append((x, u))
-            elif u:  # one state: a hit; an empty image is dropped
-                hit = x
-                break
-        e = self[t] = (hit, tested, extend)
-        return e
-
-
-class _StepMemo(dict):
-    """The number of a node's successor under one letter, keyed by the
-    node's number.  A number seen for the first time builds the successor's
-    tuple of per-start images from the letter's `_ImageMemo`, and
-    `numbered` numbers that tuple; the memo caches that pure function of
-    the node and merges no words."""
-
-    def __init__(self, image: Callable[[int], int], nodes: list[tuple[int, ...]],
-                 numbered: Callable[[tuple[int, ...]], int]) -> None:
-        super().__init__()
-        self.image = image
-        self.nodes = nodes
-        self.numbered = numbered
-
-    def __missing__(self, i: int) -> int:
-        j = self[i] = self.numbered(tuple(map(self.image, self.nodes[i])))
-        return j
+def _column_image(column: Sequence[int], m: int) -> int:
+    """The image of mask m under one letter, from the letter's successor
+    column: the oracle's own bit loop."""
+    u = 0
+    while m:
+        b = m & -m
+        u |= column[b.bit_length() - 1]
+        m ^= b
+    return u
 
 
 def _decode(code: int, k: int, length: int) -> Word:
@@ -851,21 +793,25 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
     hits).  Status not_synchronizing means "no hit within max_len".
 
     The oracle shares no table or search code with the engine.  Images
-    come from one `_ImageMemo` per letter, built from `a.delta`, which
-    caches per distinct mask: every word is still generated, tested and
-    counted.
+    come from one `Memo` per letter over a successor column built from
+    `a.delta`, which caches per distinct mask: every word is still
+    generated, tested and counted.  Each memo caches a pure function of
+    its key and merges no words.
 
     The classic, careful and subset modes walk each level word by word,
-    carrying a word as its mask and its base-k code.  One `_ExpansionMemo`
-    holds each distinct mask's expansion: the letter of its first
-    singleton image, the count of applicable letters up to that letter,
-    and the (letter, image) pairs to extend.  A word then costs one lookup,
-    one addition to `explored` and its appends, and is counted exactly as
-    a test of each applicable letter in order would count it.
+    carrying a word as its mask and its base-k code.  One `Memo` holds
+    each distinct mask's expansion (hit, tested, extend): `hit` is the
+    first letter, of those the careful rule allows on the mask, whose
+    image is one state, or None; `tested` counts the allowed letters up to
+    and including it, or all of them when there is none; and `extend`
+    lists the (letter, image) pairs before it whose image has two or more
+    states.  A word then costs one lookup, one addition to `explored` and
+    its appends, and is counted exactly as a test of each applicable
+    letter in order would count it.
 
     The directing modes number each distinct node (a tuple of per-start
-    images) and test it once; one `_StepMemo` per letter maps a node's
-    number to its successor's.  A level lists one number per word, built a
+    images) and test it once; one `Memo` per letter maps a node's number
+    to its successor's.  A level lists one number per word, built a
     letter at a time through `map`s, so no word is merged or skipped and
     the word at index i of a level is i in base k.  `numbered` records
     when it numbers a hit node, and only then is the level scanned for its
@@ -879,7 +825,8 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
     t0 = time.perf_counter()
     k = len(a.alphabet)
     letters = range(k)
-    memos = [_ImageMemo([mask_of(a.delta[s][x]) for s in a.states]) for x in letters]
+    memos = [Memo(partial(_column_image, [mask_of(a.delta[s][x]) for s in a.states]))
+             for x in letters]
     explored = 0
 
     if mode in (CLASSIC, CAREFUL, SUBSET):
@@ -890,7 +837,25 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
         # every letter is allowed on t when t & defined == t; -1 allows all
         defined = [mask_of(s for s in a.states if a.delta[s][x]) if careful else -1
                    for x in letters]
-        expansions = _ExpansionMemo(list(zip(letters, memos, defined)))
+        steps = list(zip(letters, memos, defined))
+
+        def expansion(t: int) -> tuple[Optional[int], int, list[tuple[int, int]]]:
+            hit = None
+            tested = 0
+            extend = []
+            for x, memo, d in steps:
+                if t & d != t:
+                    continue
+                u = memo[t]
+                tested += 1
+                if u & (u - 1):  # two or more states: extend
+                    extend.append((x, u))
+                elif u:  # one state: a hit; an empty image is dropped
+                    hit = x
+                    break
+            return hit, tested, extend
+
+        expansions = Memo(expansion)
         masks, codes = [start], [0]
         for depth in range(1, max_len + 1):
             next_masks, next_codes = [], []
@@ -938,7 +903,9 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
             hit_numbered = hit_numbered or hits[-1]
         return j
 
-    steps = [_StepMemo(memo.__getitem__, nodes, numbered).__getitem__ for memo in memos]
+    # per letter, a node's number -> its successor's number
+    steps = [Memo(lambda i, image=memo.__getitem__: numbered(tuple(map(image, nodes[i]))))
+             .__getitem__ for memo in memos]
     level = [0]
     for depth in range(1, max_len + 1):
         # one entry per word: nothing is pruned, so the word at index i of a

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from itertools import chain, count, repeat
 from operator import floordiv
-from typing import Callable, Optional
+from typing import Optional
 
-from .automata import DFA, NFA, PFA, Alphabet, Automaton, Instance
+from .automata import DFA, NFA, PFA, Alphabet, Automaton, Instance, Memo
 
 
 class ParseError(ValueError):
@@ -41,19 +41,6 @@ def _int(tok: str, what: str, line: int) -> int:
 
 
 _SECTIONS = frozenset(("subset", "partition", "pairs", "labels"))
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with `make(key)`, so a lookup that
-    hits stays one subscript."""
-
-    def __init__(self, make: Callable[[str], object]):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: str):
-        value = self[key] = self.make(key)
-        return value
 
 
 def parse(text: str) -> Instance:
@@ -99,8 +86,8 @@ def parse(text: str) -> Instance:
 
     k = len(alphabet)
     letter_of = {tok: x for x, tok in enumerate(alphabet.symbols)}
-    ids = _Memo(state)
-    cell_of = _Memo(lambda tok: frozenset(map(ids.__getitem__, tok.split(","))))
+    ids = Memo(state)
+    cell_of = Memo(lambda tok: frozenset(map(ids.__getitem__, tok.split(","))))
     cell_of["-"] = frozenset()
     cells: dict[int, frozenset[int]] = {}
     subset = None

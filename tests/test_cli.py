@@ -91,12 +91,20 @@ def test_decide_no(tmp_path, capsys):
 
 
 def test_build_and_verify_counter(tmp_path, capsys):
-    path = str(tmp_path / "c4.aut")
-    code, out, _ = run_cli(capsys, "build", "counter", "--m", "4", "-o", path)
-    assert code == 0
-    assert load(path).automaton.n == 25
-    code, _, _ = run_cli(capsys, "verify", path, "--check", "counter", "--m", "4")
-    assert code == 0
+    # the search-backed checks, uniqueness and the switch trace included,
+    # run over the threshold table's range, up to m = 8
+    for m, n in ((4, 25), (8, 46)):
+        path = str(tmp_path / f"c{m}.aut")
+        code, out, _ = run_cli(capsys, "build", "counter", "--m", str(m), "-o", path)
+        assert code == 0
+        assert load(path).automaton.n == n
+        code, out, _ = run_cli(capsys, "verify", path, "--check", "counter", "--m", str(m),
+                               "--format", "json")
+        assert code == 0
+        checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert checks["shortest word is unique"] is True
+        assert checks["switch trace counts 0..2^m-1"] is True
+        assert all(checks.values())
 
 
 def test_build_cerny_and_debruijn(tmp_path, capsys):
@@ -402,3 +410,14 @@ def test_verify_counter_exits_3_when_word_counting_hits_the_budget(tmp_path, cap
                              "--max-nodes", "200")
     assert (code, out) == (3, "")
     assert "word counting" in err
+
+
+def test_verify_counter_exits_3_when_its_search_hits_the_budget(tmp_path, capsys):
+    # the transversal traversal fits in 100 sets, the subset search (148)
+    # does not: a stopped search has no witness to check
+    path = str(tmp_path / "counter4.aut")
+    save(path, debruijn_counter(4).instance)
+    code, out, err = run_cli(capsys, "verify", path, "--check", "counter", "--m", "4",
+                             "--max-nodes", "100")
+    assert (code, out) == (3, "")
+    assert "counter search undecided within budget after 100 nodes" in err

@@ -25,6 +25,7 @@ from syncwords.search import (BLIND, BUDGET_EXCEEDED, CAREFUL, D1, D2, D3, FOUND
                               shortest_reset, shortest_subset_reset,
                               shortest_word)
 from syncwords import search
+from syncwords.reduce import run_reduction
 from syncwords.search import _images
 
 from test_automata import dfas
@@ -320,6 +321,39 @@ def test_is_blind_budget_is_an_error():
         is_blind(ci.automaton, ci.subset, SearchBudget(max_nodes=5))
 
 
+@pytest.mark.parametrize("site, cap", [
+    (lambda ci, b: is_blind(ci.automaton, ci.subset, b), 100),
+    (lambda ci, b: relevant_part(ci.automaton, ci.subset, b), 100),
+    (lambda ci, b: check_transversal_partition(ci.automaton, ci.subset,
+                                               ci.instance.partition, b), 50),
+    (lambda ci, b: count_shortest_reset_words(ci.automaton, ci.subset, b), 945),
+    (lambda ci, b: random_synchronizable_subset_dfa(random.Random(7), 6, 2, b), 2),
+    (lambda ci, b: random_careful_subset_pfa(random.Random(7), 6, 2, b), 2),
+    (lambda ci, b: random_carefully_synchronizing_pfa(random.Random(7), 6, 2, b), 2),
+    (lambda ci, b: run_reduction("binarize", ci.instance, b), 100),
+], ids=["is-blind", "relevant-part", "transversal", "word-counting", "subset-dfa",
+        "subset-pfa", "careful-pfa", "run-reduction"])
+def test_budget_stops_raise_naming_the_cap(site, cap):
+    # each library site turns a stopped search into the error of
+    # `SearchResult.decided`; the caps are exact, so the count it names is
+    # the cap given
+    with pytest.raises(BudgetExceededError,
+                       match=f"undecided within budget after {cap} nodes$"):
+        site(debruijn_counter(4), SearchBudget(max_nodes=cap))
+
+
+def test_decided_returns_a_decided_result_itself():
+    for res in (shortest_reset(cerny(3).automaton),
+                shortest_subset_reset(dfa_from_table([[1, 0], [0, 1]], "ab"), {0, 1}),
+                shortest_reset(dfa_from_table([[0], [1]], "a"))):
+        assert res.status != BUDGET_EXCEEDED
+        assert res.decided("the search") is res
+    res = shortest_reset(cerny(6).automaton, SearchBudget(max_nodes=3))
+    with pytest.raises(BudgetExceededError,
+                       match="^the search undecided within budget after 3 nodes$"):
+        res.decided("the search")
+
+
 def test_synchronizing_dfa_has_no_blind_subsets():
     rng = random.Random(9)
     hits = 0
@@ -388,7 +422,8 @@ def test_count_shortest_reset_words():
                                     SearchBudget(max_memory=200 * search._node_bytes(25))],
                          ids=["nodes", "memory"])
 def test_word_counting_respects_the_caps(budget):
-    # the search fits in 200 sets; the counting levels hold 945
+    # the pruned search fits in 200 sets; the count's unpruned levels hold
+    # 946 up to the first singleton
     ci = debruijn_counter(4)
     assert shortest_subset_reset(ci.automaton, ci.subset, budget).explored == 148
     with pytest.raises(BudgetExceededError, match="word counting"):
@@ -396,13 +431,14 @@ def test_word_counting_respects_the_caps(budget):
 
 
 def test_word_counting_walks_each_set_once():
-    # each set is counted on the level that first discovers it, so the
-    # levels hold 945 sets in all, not 31,317
+    # the count walks the unpruned search's levels, each set once: 946 sets
+    # up to the first singleton, the start included, not 31,317; its cap is
+    # counted as the search's `explored`, so 946 is the least that suffices
     ci = debruijn_counter(4)
-    budget = SearchBudget(max_nodes=1000)
+    budget = SearchBudget(max_nodes=946)
     assert count_shortest_reset_words(ci.automaton, ci.subset, budget) == (46, 1)
-    with pytest.raises(BudgetExceededError, match="at 945 sets"):
-        count_shortest_reset_words(ci.automaton, ci.subset, SearchBudget(max_nodes=944))
+    with pytest.raises(BudgetExceededError, match="after 945 nodes"):
+        count_shortest_reset_words(ci.automaton, ci.subset, SearchBudget(max_nodes=945))
 
 
 def test_count_agrees_with_oracle():
@@ -421,6 +457,29 @@ def test_count_agrees_with_oracle():
         brute = sum(1 for w in iproduct(range(2), repeat=length)
                     if len(run(a, s, w)) == 1)
         assert brute == count
+        checked += 1
+
+
+def test_careful_count_agrees_with_brute_force():
+    # pfa: every word up to the shortest length, applied by `replay` under
+    # the careful rule; none shorter resets the subset
+    from itertools import product as iproduct
+    rng = random.Random(321)
+    checked = 0
+    while checked < 15:
+        a = random_pfa(rng, rng.randint(2, 5), rng.randint(2, 3))
+        s = random_subset(rng, a.n)
+        got = count_shortest_reset_words(a, s)
+        if got is None:
+            assert shortest_subset_reset(a, s).status == BLIND
+            continue
+        if got[0] > 6:
+            continue
+        length, count = got
+        letters = range(len(a.alphabet))
+        brute = [sum(1 for w in iproduct(letters, repeat=j)
+                     if len(replay(a, s, w) or ()) == 1) for j in range(length + 1)]
+        assert brute == [0] * length + [count]
         checked += 1
 
 
