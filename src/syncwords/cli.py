@@ -224,6 +224,8 @@ def cmd_reduce(args) -> Outcome:
     budget = _budget(args)
     chain = args.op == "chain"
     if chain:
+        if args.file:
+            raise CliError("chain builds its input from --m and takes no file")
         if args.m is None:
             raise CliError("chain needs --m")
         command = f"reduce chain {args.variant}"
@@ -390,22 +392,18 @@ def _suite_roundtrips(args, budget) -> tuple[list[dict], list[dict]]:
         if "length_in" in rep.details and "length_out" in rep.details:
             gaps[name].append(rep.details["length_out"] - rep.details["length_in"])
 
-    # each sampler's accepting search is the reduction's input search
     for _ in range(count):
-        a, s, res = random_careful_subset_pfa(rng, rng.randint(2, 6), rng.randint(2, 3),
-                                              budget)
-        note("add-sinks", run_reduction("add-sinks", Instance(a, s), budget,
-                                        input_search=res))
+        a, s, _ = random_careful_subset_pfa(rng, rng.randint(2, 6), rng.randint(2, 3),
+                                            budget)
+        note("add-sinks", run_reduction("add-sinks", Instance(a, s), budget))
 
-        b, res = random_carefully_synchronizing_pfa(rng, rng.randint(2, 6), 2, budget)
+        b, _ = random_carefully_synchronizing_pfa(rng, rng.randint(2, 6), 2, budget)
         pairs = random_connectable_pairs(rng, b, min_arcs=1)
-        note("connect", run_reduction("connect", Instance(b), budget, pairs=pairs,
-                                      input_search=res))
+        note("connect", run_reduction("connect", Instance(b), budget, pairs=pairs))
 
-        c, sc, res = random_synchronizable_subset_dfa(rng, rng.randint(2, 6), 2, budget)
+        c, sc, _ = random_synchronizable_subset_dfa(rng, rng.randint(2, 6), 2, budget)
         pairs = random_connectable_pairs(rng, c, min_arcs=2)
-        note("double", run_reduction("double", Instance(c, sc), budget, pairs=pairs,
-                                     input_search=res))
+        note("double", run_reduction("double", Instance(c, sc), budget, pairs=pairs))
 
         d = random_pfa(rng, rng.randint(2, 6), rng.randint(2, 3))
         seed_state = rng.randrange(d.n)
@@ -416,10 +414,9 @@ def _suite_roundtrips(args, budget) -> tuple[list[dict], list[dict]]:
         except BlindSubsetError:
             pass
 
-        e, se, res = random_synchronizable_subset_dfa(rng, rng.randint(2, 5),
-                                                      rng.randint(2, 3), budget)
-        note("binarize", run_reduction("binarize", Instance(e, se), budget,
-                                       input_search=res))
+        e, se, _ = random_synchronizable_subset_dfa(rng, rng.randint(2, 5),
+                                                    rng.randint(2, 3), budget)
+        note("binarize", run_reduction("binarize", Instance(e, se), budget))
 
     ci = debruijn_counter(2)
     note("restart", run_reduction("restart", ci.instance, budget))

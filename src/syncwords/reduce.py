@@ -8,12 +8,11 @@ into one whose shortest word length L' relates to the input's L:
     binarize   L' >= L careful; in subset mode witnesses must decode
 
 `run_reduction` applies one transform with its structural checks,
-searches the output, then checks the relation and the witnesses, and
-builds one frozen ReductionReport that keeps the output's search.  It
-searches the input only when the caller does not hand that search in:
-the rejection samplers of `sampling` return the search that accepted an
-instance, and `binary_chain` hands each stage's output search to the
-next stage.  So every search is made once.  `binary_chain` runs the
+searches the input and the output, then checks the relation and the
+witnesses, and builds one frozen ReductionReport.  The engine caches
+its reset searches (`search._reset_search`), so a search that a
+transform, a rejection sampler of `sampling` or the previous stage of a
+chain has made already is not made again.  `binary_chain` runs the
 stages double -> binarize (subset) or restart -> connect -> binarize
 (careful) on the switch counter, ending in a binary strongly connected
 instance, and checks a witness propagated through them.
@@ -66,30 +65,23 @@ def _chosen_arc(a: Automaton, target: int, pairs: Sequence[Pair]) -> tuple[int, 
 
 
 def _shortest(a: Automaton, subset: Optional[StateSet],
-              budget: Optional[SearchBudget],
-              known: Optional[SearchResult] = None) -> SearchResult:
-    """Careful search of the subset, or of all states when it is None;
-    `known` is that search's result when the caller has made it under
-    `budget`.  A search stopped by the budget decides no length, so it
-    raises BudgetExceededError (`SearchResult.decided`)."""
-    if known is not None:
-        res = known
-    elif subset is None:
-        res = shortest_careful_reset(a, budget)
-    else:
-        res = shortest_subset_reset(a, subset, budget)
+              budget: Optional[SearchBudget]) -> SearchResult:
+    """Careful search of the subset, or of all states when it is None.  A
+    search stopped by the budget decides no length, so it raises
+    BudgetExceededError (`SearchResult.decided`)."""
+    res = (shortest_careful_reset(a, budget) if subset is None
+           else shortest_subset_reset(a, subset, budget))
     return res.decided("careful search")
 
 
-def _sync_target(a: Automaton, subset: StateSet, budget: Optional[SearchBudget],
-                 known: Optional[SearchResult]) -> tuple[SearchResult, int]:
-    """The subset's shortest careful reset search (`known`, when the caller
-    has made it), and the state its word ends in."""
-    res = _shortest(a, subset, budget, known)
+def _sync_target(a: Automaton, subset: StateSet,
+                 budget: Optional[SearchBudget]) -> int:
+    """The state the subset's shortest careful reset word ends in."""
+    res = _shortest(a, subset, budget)
     if res.status == BLIND:
         raise BlindSubsetError("subset is blind")
     (target,) = run(a, subset, res.witness)
-    return res, target
+    return target
 
 
 def add_sink_determinization(a: Automaton, subset: Iterable[int],
@@ -100,15 +92,10 @@ def add_sink_determinization(a: Automaton, subset: Iterable[int],
     the trap, and adds a finish letter sending only the synchronization
     target to D.  The new subset gains length exactly +1.
     """
-    return _add_sinks(a, frozenset(subset), budget, None)[0]
-
-
-def _add_sinks(a: Automaton, subset: StateSet, budget: Optional[SearchBudget],
-               known: Optional[SearchResult]) -> tuple[Instance, SearchResult]:
-    """add_sink_determinization, also returning the search of the subset."""
     if a.kind not in (DFA, PFA):
         raise ValueError("determinization applies to dfa/pfa")
-    res, target = _sync_target(a, subset, budget, known)
+    subset = frozenset(subset)
+    target = _sync_target(a, subset, budget)
     n = a.n
     drain, trap = n, n + 1
     (finish,) = _fresh_tokens("ω", 1, a.alphabet.symbols)
@@ -123,7 +110,7 @@ def _add_sinks(a: Automaton, subset: StateSet, budget: Optional[SearchBudget],
     delta.append(sink_row(trap))
     labels = a.state_labels + ("D", "Dx") if a.state_labels else None
     out = Automaton(DFA, n + 2, letters, tuple(delta), labels)
-    return Instance(out, subset | {drain}), res
+    return Instance(out, subset | {drain})
 
 
 def add_link_letters(a: Automaton, pairs: Sequence[Pair]) -> Instance:
@@ -159,13 +146,6 @@ def swap_doubling(a: Automaton, subset: Iterable[int], pairs: Sequence[Pair],
     a swap congruence, so the doubled subset still cannot shortcut; its
     shortest reset word gains at least +1.
     """
-    return _double(a, frozenset(subset), pairs, budget, None)[0]
-
-
-def _double(a: Automaton, subset: StateSet, pairs: Sequence[Pair],
-            budget: Optional[SearchBudget], known: Optional[SearchResult]
-            ) -> tuple[Instance, SearchResult]:
-    """swap_doubling, also returning the search of the subset."""
     if a.kind != DFA:
         raise ValueError("doubling applies to dfa")
     pairs = list(pairs)
@@ -173,8 +153,8 @@ def _double(a: Automaton, subset: StateSet, pairs: Sequence[Pair],
         raise ValueError("need at least two arcs")
     if not augmentation_connects(a, pairs):
         raise ValueError("the given arcs do not make the automaton strongly connected")
-    res, target = _sync_target(a, subset, budget, known)
-    chosen, _ = _chosen_arc(a, target, pairs)
+    subset = frozenset(subset)
+    chosen, _ = _chosen_arc(a, _sync_target(a, subset, budget), pairs)
 
     n = a.n
     east, east_bar = 2 * n, 2 * n + 1
@@ -223,7 +203,7 @@ def _double(a: Automaton, subset: StateSet, pairs: Sequence[Pair],
     out = Automaton(DFA, 2 * n + 2, letters, tuple(delta), labels)
     partition = tuple(frozenset((s, s + n)) for s in range(n)) + (
         frozenset((east, east_bar)),)
-    return Instance(out, subset | {east}, partition), res
+    return Instance(out, subset | {east}, partition)
 
 
 def add_restart_letter(a: Automaton, subset: Iterable[int],
@@ -341,14 +321,11 @@ def decode_word(word: Sequence[int]) -> Word:
 @dataclass(frozen=True)
 class ReductionReport:
     """A reduction's output with its named checks in the order they ran;
-    `details` holds the measured lengths and other figures, and
-    `output_search` the output's careful search (of its subset, or of all
-    states when it has none)."""
+    `details` holds the measured lengths and other figures."""
     name: str
     output: Instance
     checks: tuple[tuple[str, bool], ...]
     details: Mapping[str, object]  # read-only
-    output_search: SearchResult
 
     @property
     def ok(self) -> bool:
@@ -367,8 +344,7 @@ _RELATIONS = {
 
 def run_reduction(name: str, instance: Instance,
                   budget: Optional[SearchBudget] = None,
-                  pairs: Optional[Sequence[Pair]] = None,
-                  input_search: Optional[SearchResult] = None) -> ReductionReport:
+                  pairs: Optional[Sequence[Pair]] = None) -> ReductionReport:
     """Apply one named reduction and record its checks.
 
     Names: add-sinks, connect, double, restart, binarize (subset mode
@@ -376,21 +352,18 @@ def run_reduction(name: str, instance: Instance,
     are the op's structural ones, its length relation when both searches
     find a word, its witness checks, and the serialization round trip.
     The input search is the careful search of the instance's subset, or
-    of all states when it has none or the op is connect.  A caller that
-    has made it under `budget` passes its result as `input_search`, and
-    it is not made again.  Raises BudgetExceededError when either search
-    stops at the budget.
+    of all states when it has none or the op is connect.  Raises
+    BudgetExceededError when either search stops at the budget.
     """
     a = instance.automaton
     arcs = pairs if pairs is not None else (instance.pairs or ())
     subset = instance.subset
     relation = _RELATIONS.get(name)
     witness_checks = lambda before, after: ()
-    before = input_search  # the input search, once the caller or transform made it
     if name == "add-sinks":
         if subset is None:
             raise ValueError("add-sinks needs a subset")
-        out, before = _add_sinks(a, frozenset(subset), budget, before)
+        out = add_sink_determinization(a, subset, budget)
         checks = [("state count +2", out.automaton.n == a.n + 2),
                   ("letter count +1",
                    len(out.automaton.alphabet) == len(a.alphabet) + 1)]
@@ -406,7 +379,7 @@ def run_reduction(name: str, instance: Instance,
     elif name == "double":
         if subset is None:
             raise ValueError("double needs a subset")
-        out, before = _double(a, frozenset(subset), arcs, budget, before)
+        out = swap_doubling(a, subset, arcs, budget)
         checks = [("state count 2n+2", out.automaton.n == 2 * a.n + 2),
                   ("strongly connected", is_strongly_connected(out.automaton)),
                   ("swap congruence",
@@ -444,7 +417,7 @@ def run_reduction(name: str, instance: Instance,
     else:
         raise ValueError(f"unknown reduction {name!r}")
 
-    before = _shortest(a, subset, budget, before)
+    before = _shortest(a, subset, budget)
     after = _shortest(out.automaton, out.subset, budget)
     details = {}
     if name == "connect":
@@ -460,7 +433,7 @@ def run_reduction(name: str, instance: Instance,
     elif name == "connect":
         checks.append(("negative preserved", before.status == after.status))
     checks.append(("output serialization round-trips", parse(serialize(out)) == out))
-    return ReductionReport(name, out, tuple(checks), MappingProxyType(details), after)
+    return ReductionReport(name, out, tuple(checks), MappingProxyType(details))
 
 
 def binary_chain(m: int, variant: str,
@@ -490,12 +463,9 @@ def binary_chain(m: int, variant: str,
                   ("binarize", None))
     reports = []
     instance = counter.instance
-    search = None  # each stage's input is the previous stage's searched output
     for name, pairs in stages:
-        reports.append(run_reduction(name, instance, budget, pairs=pairs,
-                                     input_search=search))
+        reports.append(run_reduction(name, instance, budget, pairs=pairs))
         instance = reports[-1].output
-        search = reports[-1].output_search
 
     last = reports[-1]
     pre = reports[-2].output.automaton  # the input of the binarize stage

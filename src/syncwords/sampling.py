@@ -1,9 +1,10 @@
 """Seeded random automaton instances for experiments and cross-checks.
 
 The rejection samplers draw until the engine accepts a draw, and return
-that search with the instance, so a caller that needs the same search
-uses it rather than repeating it.  They search under the caller's budget;
-a search it stops decides nothing about the draw, so the sampler raises
+that search with the instance.  A caller that searches the draw again,
+as a reduction does, gets the engine's cached result rather than a new
+search.  They search under the caller's budget; a search it stops
+decides nothing about the draw, so the sampler raises
 BudgetExceededError (`SearchResult.decided`) rather than reject it.
 """
 

@@ -54,7 +54,10 @@ the length and the least witness, not their number), and the goals of
 the others are not kept by shrinking a set (empty nfa images, D2,
 composition targets).
 `explored` counts every discovered set, pruned ones included, and
-`max_nodes` caps that count.
+`max_nodes` caps that count.  The three reset searches are memoized on
+(automaton, start mask, careful rule, budget, negative status), 128
+entries deep, so a search that a reduction, a sampler or a suite repeats
+while it is still cached is not made again; no other search is cached.
 
 The brute-force oracle shares neither piece on purpose, so that it stays
 an independent check of the kernel and the driver: it builds its own
@@ -133,6 +136,10 @@ DEFAULT_BUDGET = SearchBudget()
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A search's answer: `status`, and for FOUND the word's `length` and
+    `witness`; `explored` counts the nodes discovered.  `elapsed` is the
+    time of the search that produced the result: a reset search's result
+    is cached (see `_reset_search`), and a cached result keeps that time."""
     status: str
     length: Optional[int] = None
     witness: Optional[Word] = None
@@ -453,6 +460,7 @@ def _pair_goal(n: int) -> Goal:
     return goal
 
 
+@lru_cache(maxsize=128)
 def _reset_search(a: Automaton, start: int, careful: bool,
                   budget: Optional[SearchBudget], negative: str) -> SearchResult:
     """The classic, careful and subset searches from mask `start`, pruned
@@ -464,6 +472,12 @@ def _reset_search(a: Automaton, start: int, careful: bool,
     resets that pair, whose word is shorter or lex-smaller, so the length
     and witness are those of the unpruned search; `explored` can only be
     smaller.
+
+    The search is a pure function of its arguments, so it is memoized on
+    them, as `transition_masks` is: a repeated search, of an equal
+    automaton under an equal budget, returns the first one's result
+    object.  A budget stop is cached too; it decides nothing, and
+    `decided` raises on it every time.
     """
     return _bfs(start, _images(a, careful), _pair_goal(a.n), budget,
                 _node_bytes(a.n), negative, a.n)

@@ -149,19 +149,16 @@ def test_criterion_05_reduction_roundtrips():
             violations.append((op, i, [n for n, p in rep.checks if not p]))
 
     for i in range(count):
-        a, s, res = random_careful_subset_pfa(rng, rng.randint(2, 6), rng.randint(2, 3))
-        note("add-sinks", run_reduction("add-sinks", Instance(a, s),
-                                        input_search=res), i)
+        a, s, _ = random_careful_subset_pfa(rng, rng.randint(2, 6), rng.randint(2, 3))
+        note("add-sinks", run_reduction("add-sinks", Instance(a, s)), i)
 
-        b, res = random_carefully_synchronizing_pfa(rng, rng.randint(2, 6), 2)
+        b, _ = random_carefully_synchronizing_pfa(rng, rng.randint(2, 6), 2)
         pairs = random_connectable_pairs(rng, b, min_arcs=1)
-        note("connect", run_reduction("connect", Instance(b), pairs=pairs,
-                                      input_search=res), i)
+        note("connect", run_reduction("connect", Instance(b), pairs=pairs), i)
 
-        c, sc, res = random_synchronizable_subset_dfa(rng, rng.randint(2, 6), 2)
+        c, sc, _ = random_synchronizable_subset_dfa(rng, rng.randint(2, 6), 2)
         pairs = random_connectable_pairs(rng, c, min_arcs=2)
-        note("double", run_reduction("double", Instance(c, sc), pairs=pairs,
-                                     input_search=res), i)
+        note("double", run_reduction("double", Instance(c, sc), pairs=pairs), i)
 
         d, sd, _ = random_careful_subset_pfa(rng, rng.randint(2, 6), 2)
         seed_state = min(sd)
@@ -169,9 +166,9 @@ def test_criterion_05_reduction_roundtrips():
         note("restart", run_reduction(
             "restart", Instance(d, frozenset((seed_state,)), (qrel,))), i)
 
-        e, se, res = random_synchronizable_subset_dfa(rng, rng.randint(2, 5),
-                                                      rng.randint(2, 3))
-        rep = run_reduction("binarize", Instance(e, se), input_search=res)
+        e, se, _ = random_synchronizable_subset_dfa(rng, rng.randint(2, 5),
+                                                    rng.randint(2, 3))
+        rep = run_reduction("binarize", Instance(e, se))
         note("binarize", rep, i)
         for _ in range(5):  # both directions of the word correspondence
             w = tuple(rng.randrange(len(e.alphabet))

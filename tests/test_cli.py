@@ -299,7 +299,8 @@ def test_verify_transversal_respects_max_length(tmp_path, capsys):
 
 @pytest.mark.parametrize("op", [["add-sinks"], ["chain", "--m", "2"]])
 def test_reduce_budget_exit_code(counter_file, capsys, op):
-    code, _, err = run_cli(capsys, "reduce", counter_file, "--op", *op,
+    files = [] if op[0] == "chain" else [counter_file]  # chain takes no file
+    code, _, err = run_cli(capsys, "reduce", *files, "--op", *op,
                            "--max-nodes", "2")
     assert code == 3
     assert "budget" in err
@@ -373,26 +374,50 @@ def test_verify_debruijn_rejects_non_binary_text(tmp_path, capsys, text):
 
 
 def test_reduction_suites_and_chains_search_nothing_twice(monkeypatch, capsys):
-    # a search is handed to the code that needs it: the samplers' searches
-    # are the reductions' input searches, and a chain stage's output search
-    # is the next stage's input search
-    searched = []  # keeps every automaton alive, so no id is reused
+    # the samplers' searches are the reductions' input searches, and a
+    # chain stage's output search is the next stage's input search: the
+    # engine's cache answers the repeats, so no automaton is searched twice
     original = search._reset_search
+    keys = set()  # the calls' keys, equal automata equal, as in the cache
+    made = []  # the searches made; keeps every automaton alive, so no id is reused
 
-    def counted(a, start, careful, budget, negative):
-        searched.append((a, (id(a), start, careful, negative,
-                             budget or search.DEFAULT_BUDGET)))
-        return original(a, start, careful, budget, negative)
+    def recorded(a, *rest):
+        keys.add((a, *rest))
+        misses = original.cache_info().misses
+        res = original(a, *rest)
+        if original.cache_info().misses > misses:
+            made.append((a, (id(a), *rest)))
+        return res
 
-    monkeypatch.setattr(search, "_reset_search", counted)
-    for argv in (["experiment", "reduction-roundtrips", "--count", "20"],
-                 ["experiment", "nfa-modes", "--count", "20"],
-                 ["reduce", "--op", "chain", "--m", "2", "--variant", "subset"],
-                 ["reduce", "--op", "chain", "--m", "2", "--variant", "careful"]):
-        searched.clear()
+    monkeypatch.setattr(search, "_reset_search", recorded)
+    # nfa-modes reads its samplers' searches and repeats none of them
+    for argv, repeats in ((["experiment", "reduction-roundtrips", "--count", "20"], True),
+                          (["experiment", "nfa-modes", "--count", "20"], False),
+                          (["reduce", "--op", "chain", "--m", "2", "--variant", "subset"],
+                           True),
+                          (["reduce", "--op", "chain", "--m", "2", "--variant", "careful"],
+                           True)):
+        original.cache_clear()
+        keys.clear()
+        made.clear()
         assert run_cli(capsys, *argv)[0] == 0
-        keys = [key for _, key in searched]
-        assert keys and len(set(keys)) == len(keys), argv
+        info = original.cache_info()
+        assert (info.hits > 0) == repeats, argv
+        ids = [key for _, key in made]
+        assert len(set(ids)) == len(ids), argv
+        # while the cache holds every search, each distinct one is made
+        # once; the roundtrips suite makes more than it holds, and a draw
+        # equal to one evicted since is searched again
+        if len(keys) <= info.maxsize:
+            assert info.misses == len(keys), argv
+
+
+def test_reduce_chain_rejects_an_input_file(counter_file, capsys):
+    # the chain builds its input from --m; it does not silently ignore a file
+    code, out, err = run_cli(capsys, "reduce", counter_file, "--op", "chain",
+                             "--m", "2")
+    assert (code, out) == (1, "")
+    assert "chain builds its input from --m and takes no file" in err
 
 
 def test_negative_witness_limit_is_rejected(counter_file, capsys):

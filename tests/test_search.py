@@ -27,6 +27,7 @@ from syncwords.search import (BLIND, BUDGET_EXCEEDED, CAREFUL, D1, D2, D3, FOUND
 from syncwords import search
 from syncwords.reduce import run_reduction
 from syncwords.search import _images
+from syncwords.textio import parse, serialize
 
 from test_automata import dfas
 
@@ -214,6 +215,7 @@ def test_wide_search_memory_stays_small():
     # Cerny 16 discovers 65,520 sets; past the switch each expanded set
     # keeps an 8-byte position, and the visited table takes 64 KiB
     a = cerny(16).automaton
+    search._reset_search.cache_clear()  # measure a search, not a cache hit
     tracemalloc.start()
     try:
         res = shortest_reset(a)
@@ -352,6 +354,42 @@ def test_decided_returns_a_decided_result_itself():
     with pytest.raises(BudgetExceededError,
                        match="^the search undecided within budget after 3 nodes$"):
         res.decided("the search")
+
+
+def test_equal_automata_share_one_cached_search():
+    # the cache keys on equality, so a parsed copy finds the search made
+    # on the original
+    inst = debruijn_counter(2).instance
+    copy = parse(serialize(inst))
+    assert copy.automaton is not inst.automaton and copy.automaton == inst.automaton
+    first = shortest_subset_reset(inst.automaton, inst.subset)
+    assert shortest_subset_reset(copy.automaton, copy.subset) is first
+    assert shortest_word(copy.automaton, copy.subset, SUBSET) is first
+
+
+def test_a_different_budget_or_mode_is_a_different_search():
+    a = cerny(5).automaton
+    info = search._reset_search.cache_info
+    search._reset_search.cache_clear()
+    classic = shortest_reset(a)
+    others = (shortest_reset(a, SearchBudget(max_nodes=1000)),
+              shortest_careful_reset(a),
+              shortest_subset_reset(a, a.states))  # negative BLIND, not NOT_SYNCHRONIZING
+    assert (info().misses, info().hits) == (4, 0)
+    assert all(res == classic and res is not classic for res in others)
+    assert shortest_reset(a) is classic
+    assert (info().misses, info().hits) == (4, 1)
+
+
+def test_a_cached_budget_stop_still_decides_nothing():
+    a = cerny(6).automaton
+    budget = SearchBudget(max_nodes=3)
+    stopped = shortest_reset(a, budget)
+    for _ in range(2):
+        res = shortest_reset(a, budget)
+        assert res is stopped and res.status == BUDGET_EXCEEDED
+        with pytest.raises(BudgetExceededError, match="after 3 nodes$"):
+            res.decided("the search")
 
 
 def test_synchronizing_dfa_has_no_blind_subsets():
@@ -736,7 +774,8 @@ def test_oracle_is_independent_of_the_engine(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("the oracle called the engine")
 
-    for name in ("transition_masks", "_images", "_bfs", "directing_word", "_first_hit"):
+    for name in ("transition_masks", "_images", "_bfs", "directing_word", "_first_hit",
+                 "_reset_search"):
         monkeypatch.setattr(search, name, broken)
     assert _oracle_answers() == [pin for _, pin in ORACLE_PINS]
 
