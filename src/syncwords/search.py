@@ -12,7 +12,10 @@ built from two pieces, and both work a whole BFS level at a time:
   many masks as its byte tables have entries).  After that every level
   runs on the byte tables through `map`s over `operator` functions, so
   the per-mask work runs in C; searches that stay below that count never
-  pay for the tables;
+  pay for the tables.  A level is packed into little-endian bytes in one
+  conversion, `array("Q", frontier).tobytes()` (byte-swapped first on a
+  big-endian host), while masks fit a machine word (n up to 64), and with
+  one `int.to_bytes` per mask past that;
 * the driver `_bfs(start, expand, goal, ...)`, one level-synchronized
   breadth-first search that returns the `SearchResult`.  It calls `goal`
   on `[start]` first, so a start that is a goal gives the empty word,
@@ -91,6 +94,7 @@ from functools import lru_cache, partial, reduce
 from itertools import chain, compress, count, repeat
 from math import inf
 from operator import and_, eq, mul, not_, or_, rshift
+from sys import byteorder
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .automata import DFA, PFA, Automaton, Memo, StateSet, Word, restrict
@@ -124,7 +128,9 @@ class BlindSubsetError(ValueError):
 class SearchBudget:
     max_nodes: int = 10_000_000
     max_length: int = 10_000_000
-    max_memory: int = 8 << 30  # advisory byte cap
+    # a byte cap, enforced exactly against the per-node estimate `_node_bytes`
+    # (see `_bfs`), not against the memory a search really takes
+    max_memory: int = 8 << 30
 
     def __post_init__(self) -> None:
         if self.max_nodes <= 0 or self.max_length <= 0 or self.max_memory <= 0:
@@ -240,10 +246,16 @@ def _images(a: Automaton, careful: bool) -> Expand:
     bit, until it has expanded `256 * nbytes` masks, as many as its byte
     tables have entries.  From then on every level runs on the tables
     through `map`s over the whole level, so the per-mask work runs in C:
-    the masks are written out as bytes, each byte position is looked up
-    for every mask at once and OR-ed in, and one pass per letter cuts out
-    its images and applies the careful rule, a multiply by
-    `t & defined == t`.  Building the tables takes about one step per
+    the level is packed into bytes, each byte position is looked up for
+    every mask at once and OR-ed in, and one pass per letter cuts out its
+    images and applies the careful rule, a multiply by `t & defined == t`.
+    Up to 64 states the level is packed in one C conversion, an
+    `array("Q")` of its masks written out with `tobytes`, 8 bytes a mask,
+    byte-swapped first on a big-endian host so that byte i of a mask sits
+    at offset i (that branch is untested: the hosts it has run on are
+    little-endian).  Masks wider than a machine word are written out with
+    one `int.to_bytes` per mask, `nbytes` bytes a mask, little-endian.
+    Building the tables takes about one step per
     entry, so it never costs more than the expansions already made, and
     the thousands of tiny searches of a reduction sweep never build them
     at all.
@@ -277,11 +289,21 @@ def _images(a: Automaton, careful: bool) -> Expand:
             return flat
         if tables is None:
             tables = _byte_tables(packed, nbytes)
-        data = b"".join(map(int.to_bytes, frontier, repeat(nbytes), repeat("little")))
-        # data[i::nbytes] holds byte i of every mask
-        unions = list(map(tables[0].__getitem__, data[::nbytes]))
+        if n <= 64:  # one machine word per mask, packed in one conversion
+            # imported here, as in `_bfs`: only searches that reach the tables load it
+            from array import array
+            words = array("Q", frontier)
+            if byteorder == "big":
+                words.byteswap()
+            data, stride = words.tobytes(), 8
+        else:
+            data = b"".join(map(int.to_bytes, frontier, repeat(nbytes), repeat("little")))
+            stride = nbytes
+        # data[i::stride] holds byte i of every mask, the least significant first
+        unions = map(tables[0].__getitem__, data[::stride])
         for i in range(1, nbytes):
-            unions = list(map(or_, unions, map(tables[i].__getitem__, data[i::nbytes])))
+            unions = map(or_, unions, map(tables[i].__getitem__, data[i::stride]))
+        unions = list(unions)
         flat = [0] * (len(frontier) * k)
         for x, (shift, d) in enumerate(letters):
             image = map(rshift, unions, repeat(shift)) if shift else unions

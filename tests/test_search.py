@@ -4,7 +4,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncwords.automata import dfa_from_table, nfa_from_sets, pfa_from_table, run
@@ -35,10 +35,15 @@ from test_automata import dfas
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([random_dfa, random_pfa, random_nfa]), st.integers(1, 24),
        st.integers(1, 3), st.booleans(), st.randoms(use_true_random=False))
+@example(random_pfa, 64, 3, False, random.Random(64))
+@example(random_pfa, 65, 2, False, random.Random(65))
+@example(random_dfa, 100, 2, False, random.Random(100))
 def test_image_kernel_matches_delta(sample, n, k, careful, rng):
     # the first call expands more masks than the switch to byte tables (256
     # per byte) with the bit loop, so the second call of the same frontier
-    # runs on the tables; both are compared with the transition table
+    # runs on the tables; both are compared with the transition table.  The
+    # examples pack the widest masks of one machine word (n = 64) and those
+    # past it (n = 65, 100)
     a = sample(rng, n, k)
     full = (1 << n) - 1
     singletons = [1 << s for s in range(n)]
@@ -200,10 +205,29 @@ def test_visited_table_changes_no_exhaustive_search():
     assert relevant_part(a, a.states)[0] == frozenset(a.states)
 
 
+CERNY_14_WITNESS = (1,) + ((0,) * 13 + (1,)) * 12
+
+
 def test_cerny_14_is_pinned_past_the_switch():
     res = shortest_reset(cerny(14).automaton)
     assert (res.length, res.explored) == (169, 16370)
-    assert res.witness == (1,) + ((0,) * 13 + (1,)) * 12
+    assert res.witness == CERNY_14_WITNESS
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relabeled_cerny_14_keeps_length_witness_and_count(seed):
+    # a relabeling moves every mask's bits, in the bit loop and in the byte
+    # tables, but changes neither the answer nor the sets discovered
+    base = cerny(14).automaton
+    perm = list(range(14))
+    random.Random(seed).shuffle(perm)
+    table = [[0, 0] for _ in range(14)]
+    for s, row in enumerate(base.delta):
+        for x, (t,) in enumerate(row):
+            table[perm[s]][x] = perm[t]
+    res = shortest_reset(dfa_from_table(table, base.alphabet.symbols))
+    assert (res.length, res.explored) == (169, 16370)
+    assert res.witness == CERNY_14_WITNESS
 
 
 def test_node_cap_is_exact_past_the_switch():
