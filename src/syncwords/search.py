@@ -7,15 +7,9 @@ built from two pieces, and both work a whole BFS level at a time:
   the images of a level's masks in one flat list, k per mask (k
   letters), node-major and in declared alphabet order, with 0 where the
   careful rule forbids the letter.  It ORs packed columns (one int per
-  state holding its images under all letters) with a bit loop per mask
-  until it has expanded `256 * nbytes` masks (nbytes bytes per mask; as
-  many masks as its byte tables have entries).  After that every level
-  runs on the byte tables through `map`s over `operator` functions, so
-  the per-mask work runs in C; searches that stay below that count never
-  pay for the tables.  A level is packed into little-endian bytes in one
-  conversion, `array("Q", frontier).tobytes()` (byte-swapped first on a
-  big-endian host), while masks fit a machine word (n up to 64), and with
-  one `int.to_bytes` per mask past that;
+  state holding its images under all letters) one per set bit, or byte
+  tables built from them one per byte, mask by mask on narrow levels and
+  through `map`s on wide ones (the three paths are set out in `_images`);
 * the driver `_bfs(start, expand, goal, ...)`, one level-synchronized
   breadth-first search that returns the `SearchResult`.  It calls `goal`
   on `[start]` first, so a start that is a goal gives the empty word,
@@ -46,9 +40,11 @@ order within a level is the lex order of the words reaching the sets.
 So the least word through S is never worse than the least through T,
 and the shortest length and lex-least witness do not change.  Pairs are
 indexed by one partner mask per state; until the first pair is
-discovered a level costs one pass of bit counts in C.  A general index
-of discovered sets would prune more but costs a subset test against
-many sets; pairs already catch all the pruning of the switch counter.  `relevant_part`,
+discovered a level costs one pass of bit counts in C, and after it one
+loop that sizes each set and stops at the first singleton.  A general
+index of discovered sets would prune more but costs a subset test
+against many sets; pairs already catch all the pruning of the switch
+counter.  `relevant_part`,
 `check_transversal_partition`, `count_shortest_reset_words`, the
 directing and composition searches and the oracle stay unpruned: the
 first two need the whole subset graph, the count needs every word
@@ -242,23 +238,24 @@ def _images(a: Automaton, careful: bool) -> Expand:
 
     A mask's images come from its states' packed columns: OR-ing them
     gives t's images under all letters side by side, cut into one mask per
-    letter.  The kernel does this per mask, inline, with one OR per set
-    bit, until it has expanded `256 * nbytes` masks, as many as its byte
-    tables have entries.  From then on every level runs on the tables
-    through `map`s over the whole level, so the per-mask work runs in C:
-    the level is packed into bytes, each byte position is looked up for
-    every mask at once and OR-ed in, and one pass per letter cuts out its
-    images and applies the careful rule, a multiply by `t & defined == t`.
-    Up to 64 states the level is packed in one C conversion, an
-    `array("Q")` of its masks written out with `tobytes`, 8 bytes a mask,
-    byte-swapped first on a big-endian host so that byte i of a mask sits
-    at offset i (that branch is untested: the hosts it has run on are
-    little-endian).  Masks wider than a machine word are written out with
-    one `int.to_bytes` per mask, `nbytes` bytes a mask, little-endian.
-    Building the tables takes about one step per
-    entry, so it never costs more than the expansions already made, and
-    the thousands of tiny searches of a reduction sweep never build them
-    at all.
+    letter.  A level of fewer than 16 masks runs one mask at a time: on
+    the byte tables, one entry per byte of the mask (a one-byte mask
+    indexes its table directly), when the level is dense (twice its bit
+    count over masks * nbytes) and the search has expanded entries /
+    nbytes masks, so that the tables (256 entries per full byte, 2^r for
+    a top byte of r states, about one step each to build) cost no more
+    than the bit loops already run; else with one OR per set bit.  A wider
+    level runs on that bit loop until `256 * nbytes` masks are expanded,
+    then through `map`s over the tables, so the per-mask work runs in C:
+    each byte position is looked up for every mask at once and OR-ed in,
+    and one pass per letter cuts out its images and applies the careful
+    rule, a multiply by `t & defined == t`.  On 8 to 200 states the maps
+    overtake per-mask lookups at 10 to 30 masks, and the lookups overtake
+    the bit loop near nbytes / 2 states a mask.  Up to 64 states that
+    level is packed into bytes in one C conversion, `array("Q",
+    frontier).tobytes()`, byte-swapped first on a big-endian host (an
+    untested branch: the hosts it has run on are little-endian), and past
+    that with one `int.to_bytes` per mask, `nbytes` bytes little-endian.
     """
     defined, packed = transition_masks(a)
     n = a.n
@@ -269,21 +266,34 @@ def _images(a: Automaton, careful: bool) -> Expand:
     letters = [(x * n, d if careful else full) for x, d in enumerate(defined)]
     last = (k - 1) * n  # the last letter's bits are the top ones: no cut
     switch = 256 * nbytes
+    entries = 256 * (n // 8) + (1 << n % 8 if n % 8 else 0)
     expanded = 0
     tables: Optional[list[list[int]]] = None
 
     def expand(frontier: list[int]) -> list[int]:
         nonlocal expanded, tables
-        if expanded < switch:
-            expanded += len(frontier)
+        width = len(frontier)
+        if width < 16 or expanded < switch:  # one mask at a time
+            lookup = width < 16 and expanded * nbytes >= entries and (
+                2 * sum(map(int.bit_count, frontier)) > width * nbytes)
+            expanded += width
+            if lookup and tables is None:
+                tables = _byte_tables(packed, nbytes)
             flat = []
             for t in frontier:
-                u = 0
-                m = t
-                while m:
-                    b = m & -m
-                    u |= packed[b.bit_length() - 1]
-                    m ^= b
+                if not lookup:
+                    u = 0
+                    m = t
+                    while m:
+                        b = m & -m
+                        u |= packed[b.bit_length() - 1]
+                        m ^= b
+                elif nbytes == 1:
+                    u = tables[0][t]
+                else:
+                    u = 0
+                    for table, byte in zip(tables, t.to_bytes(nbytes, "little")):
+                        u |= table[byte]
                 for shift, d in letters:
                     flat.append((u >> shift) & full if t & d == t else 0)
             return flat
@@ -449,20 +459,23 @@ def _pair_goal(n: int) -> Goal:
     Each pair {p, q} with p < q is stored as q's bit in `partner[p]`, p's
     bit in `low` and q's bit in `high`.  Only a set that meets both masks
     can contain a pair, and then only its states in `low` are looked up.
-    A level without pairs, before the first pair is found, is kept whole.
+    Until the first pair is found, a level of sets of three or more states
+    is kept whole after one C pass.  Otherwise one loop sizes each set and
+    answers the first singleton as it reaches it; an unpruned level is
+    returned itself, so the driver need not remap it.
     """
     partner = [0] * n
     low = high = 0
 
     def goal(fresh: list[int]) -> tuple[Optional[int], list[int]]:
         nonlocal low, high
-        sizes = list(map(int.bit_count, fresh))
-        if 1 in sizes:
-            return sizes.index(1), fresh
-        if not low and 2 not in sizes:
+        if not low and min(map(int.bit_count, fresh)) > 2:
             return None, fresh
         keep = []
-        for t, size in zip(fresh, sizes):
+        for i, t in enumerate(fresh):
+            size = t.bit_count()
+            if size == 1:
+                return i, fresh
             if size == 2:
                 b = t & -t
                 partner[b.bit_length() - 1] |= t ^ b
@@ -477,7 +490,7 @@ def _pair_goal(n: int) -> Goal:
                 if m:
                     continue  # contains an earlier pair: pruned
             keep.append(t)
-        return None, keep
+        return None, keep if len(keep) < len(fresh) else fresh
 
     return goal
 

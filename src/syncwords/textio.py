@@ -74,21 +74,31 @@ def parse(text: str) -> Instance:
     except ValueError as e:
         raise ParseError(str(e), l3) from None
 
-    # Each distinct token is read once, on the first line that holds it,
-    # whose number `state` reads from the loop below: `ids` maps a state
-    # token to its checked state, `cell_of` a destination token to its
-    # cell.  A cell is keyed s * k + x.
+    # Each distinct token is read once, on the first line that holds it;
+    # `state` and `cell` read that line's `lineno`, source `s` and letter
+    # `tok` from the loop below.  `ids` maps a state token to its checked
+    # state, `cell_of` a destination token to its cell, checked against
+    # the kind's successor count.  A cell is keyed s * k + x.
     def state(tok: str) -> int:
         s = _int(tok, "state", lineno)
         if not 0 <= s < n:
             raise ParseError(f"state {s} out of range 0..{n - 1}", lineno)
         return s
 
+    def cell(dst: str) -> frozenset[int]:
+        c = frozenset(map(ids.__getitem__, dst.split(","))) if dst != "-" else frozenset()
+        if kind == DFA and not c:
+            raise ParseError(f"dfa must be total: no successor for state {s} "
+                             f"letter {tok!r}", lineno)
+        if kind != NFA and len(c) > 1:
+            raise ParseError(f"{kind} cell of state {s} letter {tok!r} has "
+                             f"{len(c)} successors", lineno)
+        return c
+
     k = len(alphabet)
     letter_of = {tok: x for x, tok in enumerate(alphabet.symbols)}
     ids = Memo(state)
-    cell_of = Memo(lambda tok: frozenset(map(ids.__getitem__, tok.split(","))))
-    cell_of["-"] = frozenset()
+    cell_of = Memo(cell)
     cells: dict[int, frozenset[int]] = {}
     subset = None
     partition = None

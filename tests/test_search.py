@@ -35,36 +35,58 @@ from test_automata import dfas
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([random_dfa, random_pfa, random_nfa]), st.integers(1, 24),
        st.integers(1, 3), st.booleans(), st.randoms(use_true_random=False))
+@example(random_pfa, 5, 3, True, random.Random(5))
+@example(random_dfa, 8, 2, False, random.Random(8))
 @example(random_pfa, 64, 3, False, random.Random(64))
-@example(random_pfa, 65, 2, False, random.Random(65))
+@example(random_pfa, 65, 2, True, random.Random(65))
 @example(random_dfa, 100, 2, False, random.Random(100))
 def test_image_kernel_matches_delta(sample, n, k, careful, rng):
-    # the first call expands more masks than the switch to byte tables (256
-    # per byte) with the bit loop, so the second call of the same frontier
-    # runs on the tables; both are compared with the transition table.  The
-    # examples pack the widest masks of one machine word (n = 64) and those
-    # past it (n = 65, 100)
+    # every per-level path of the kernel against the transition table.  A
+    # level of fewer than 16 masks runs one mask at a time: on the byte
+    # tables when it is dense (twice its bit count over masks * nbytes) and
+    # the masks expanded before it reach the tables' entries / nbytes, else
+    # on the bit loop.  A wider level runs on the bit loop until 256 *
+    # nbytes masks are expanded, then on maps over the tables.  The
+    # examples index one-byte masks directly (n = 5, 8), pack the widest
+    # masks of one machine word (n = 64) and those past it (n = 65, 100)
     a = sample(rng, n, k)
+    nbytes = (n + 7) // 8
     full = (1 << n) - 1
-    singletons = [1 << s for s in range(n)]
-    dense = [rng.getrandbits(n) for _ in range(256 * ((n + 7) // 8))]
-    frontier = [0, full] + singletons + dense
-    expected = []
-    for t in frontier:
-        cells = [a.delta[s] for s in range(n) if t >> s & 1]
-        expected += [
-            0 if careful and not all(row[x] for row in cells)
-            else mask_of(frozenset().union(*(row[x] for row in cells)))
-            for x in range(k)
-        ]
+
+    def images(level):
+        expected = []
+        for t in level:
+            cells = [a.delta[s] for s in range(n) if t >> s & 1]
+            expected += [
+                0 if careful and not all(row[x] for row in cells)
+                else mask_of(frozenset().union(*(row[x] for row in cells)))
+                for x in range(k)
+            ]
+        return expected
+
+    def dense(level):
+        return 2 * sum(t.bit_count() for t in level) > len(level) * nbytes
+
+    wide = ([0, full] + [1 << s for s in range(n)]
+            + [rng.getrandbits(n) for _ in range(256 * nbytes)])
+    narrow_dense = [full] + [rng.getrandbits(n) | 1 for _ in range(14)]
+    narrow_sparse = [0, 1 << n - 1] * 7
+    assert dense(narrow_dense) and not dense(narrow_sparse)
+    # (kernel, level, the tables built after it)
+    steps = [(0, [], 0),
+             (0, narrow_dense, 0),  # no mask expanded yet: the bit loop
+             (0, wide, 0),  # under the switch: the bit loop
+             (0, narrow_sparse, 0),  # past it, but sparse: the bit loop
+             (0, narrow_dense, 1),  # the tables, one mask at a time
+             (0, wide, 1),  # the maps over the same tables
+             (0, narrow_dense[:1], 1),
+             (1, wide, 1),
+             (1, wide, 2)]  # the maps build their own tables
     with mock.patch.object(search, "_byte_tables", wraps=search._byte_tables) as tables:
-        expand = _images(a, careful)
-        assert expand([]) == []
-        assert expand(frontier) == expected
-        assert tables.call_count == 0
-        assert expand(frontier) == expected
-        assert tables.call_count == 1
-        assert expand(frontier[:1]) == expected[:k]
+        kernels = [_images(a, careful), _images(a, careful)]
+        for kernel, level, built in steps:
+            assert kernels[kernel](level) == images(level)
+            assert tables.call_count == built
 
 
 def test_one_state_reset_is_empty():
@@ -167,6 +189,40 @@ def test_explored_counts_are_pinned():
     a = dfa_from_table([[0, 1], [0, 2], [0, 1]], "ab")
     res = shortest_reset(a)
     assert (res.witness, res.explored) == ((0,), 2)
+
+
+def test_pair_goal_hit_is_the_first_singleton_of_its_level():
+    # level 1 records the pair {0, 1}; on level 2 a set holding it (pruned)
+    # and a new pair come before the singleton {6}: the hit is still the
+    # third set discovered, and the set after it is not counted
+    levels = iter([[0b00000011, 0b11110000],
+                   [0b00000111, 0b00110000, 0b01000000, 0b11000000]])
+    goal = search._pair_goal(8)
+    res = search._bfs(0b11111111, lambda frontier: next(levels), goal, None,
+                      search._node_bytes(8), NOT_SYNCHRONIZING, 8)
+    assert (res.status, res.witness, res.explored) == (FOUND, (1, 0), 6)
+
+
+def test_pair_goal_returns_an_unpruned_level_itself():
+    goal = search._pair_goal(8)
+    level = [0b111, 0b111000]  # before the first pair
+    assert goal(level)[1] is level
+    level = [0b11, 0b11100]  # a pair, and a set that holds no earlier pair
+    hit, keep = goal(level)
+    assert hit is None and keep is level
+    level = [0b111, 0b1100000]  # {0, 1, 2} holds {0, 1}: pruned
+    assert goal(level) == (None, [0b1100000])
+
+
+def test_counter_8_builds_the_byte_tables_once():
+    # its narrow levels are dense, so they run on the tables once enough
+    # masks are expanded; the answer does not change
+    ci = debruijn_counter(8)
+    search._reset_search.cache_clear()  # measure a search, not a cache hit
+    with mock.patch.object(search, "_byte_tables", wraps=search._byte_tables) as tables:
+        res = shortest_subset_reset(ci.automaton, ci.subset)
+    assert tables.call_count == 1
+    assert (res.length, res.explored, res.witness) == (1021, 3006, counting_word(8))
 
 
 def _driver(a, careful, goal, bits):

@@ -81,6 +81,17 @@ def test_nfa_duplicate_lines_union():
          "state 2 out of range"),
         # a comment after a transition is not part of it
         ("kind dfa\nstates 1\nletters a\n0 a 0 # 0 a 0\n0 a 0#\n", 5, "duplicate"),
+        # a cell with the wrong successor count for the kind, named by its
+        # letter token on the first line that holds its destination token
+        ("kind dfa\nstates 2\nletters a b\n0 a 1\n1 b -\n0 b -\n", 5,
+         "dfa must be total: no successor for state 1 letter 'b'"),
+        ("kind dfa\nstates 2\nletters a b\n0 a 1\n1 b 1,0\n0 b 1,0\n", 5,
+         "dfa cell of state 1 letter 'b' has 2 successors"),
+        ("kind pfa\nstates 3\nletters a b\n0 a -\n2 b 1,2\n0 b 1,2\n", 5,
+         "pfa cell of state 2 letter 'b' has 2 successors"),
+        # a repeated successor is one successor
+        ("kind dfa\nstates 2\nletters a\n0 a 1,1\n1 a 0,1\n", 5,
+         "dfa cell of state 1 letter 'a' has 2 successors"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
