@@ -6,10 +6,11 @@ built from two pieces, and both work a whole BFS level at a time:
 * the image kernel `_images(a, careful)`, whose `expand(frontier)` lists
   the images of a level's masks in one flat list, k per mask (k
   letters), node-major and in declared alphabet order, with 0 where the
-  careful rule forbids the letter.  It ORs packed columns (one int per
-  state holding its images under all letters) one per set bit, or byte
-  tables built from them one per byte, mask by mask on narrow levels and
-  through `map`s on wide ones (the three paths are set out in `_images`);
+  careful rule forbids the letter.  A narrow level runs mask by mask:
+  a bit loop over packed columns (one int per state holding its images
+  under all letters), or byte tables built from them.  A wide level is
+  byte-sliced: one `bytes.translate` pass over the whole level per pair
+  of input and output byte (the three paths are set out in `_images`);
 * the driver `_bfs(start, expand, goal, ...)`, one level-synchronized
   breadth-first search that returns the `SearchResult`.  It calls `goal`
   on `[start]` first, so a start that is a goal gives the empty word,
@@ -60,22 +61,9 @@ while it is still cached is not made again; no other search is cached.
 
 The brute-force oracle shares neither piece on purpose, so that it stays
 an independent check of the kernel and the driver: it builds its own
-successor columns from the transition table, memoizes each letter's
-image per distinct mask, and still generates, tests and counts every
-word up to its length bound, with no deduplication of words.  In the
-classic, careful and subset modes it memoizes per distinct mask the
-mask's whole expansion in letter order: the first letter whose image is
-a singleton, the number of applicable letters up to it, and the images
-of two or more states to extend.  These are pure functions of the mask,
-so every word ending in the mask gets the answer a letter-by-letter test
-would give it.  In the directing modes it carries each word as the
-number of the node (the tuple of per-start images) the word reaches: a
-node is numbered and tested once, each letter's successor is memoized
-per number, and a level lists one number per word, built a letter at a
-time through `map`s.  A level is scanned for a hit only once a hit node
-has been numbered: a node is numbered while the first level holding it
-is built, so no earlier level can hold a hit.  The same node reached by
-two words still appears twice, so no word is merged or skipped.
+successor columns from the transition table and memoizes per distinct
+mask or node, but still generates, tests and counts every word up to its
+length bound, merging none (see `brute_force_oracle`).
 
 The "careful" applicability rule (a letter may be applied to an active
 set only if it is defined on every active state) is used for pfa in all
@@ -89,7 +77,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial, reduce
 from itertools import chain, compress, count, repeat
 from math import inf
-from operator import and_, eq, mul, not_, or_, rshift
+from operator import and_, itemgetter, mul, not_
+from struct import iter_unpack
 from sys import byteorder
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -228,6 +217,41 @@ def _byte_tables(packed: Sequence[int], nbytes: int) -> list[list[int]]:
     return tables
 
 
+def _slice_tables(tables: list[list[int]], defined: Sequence[int], careful: bool, n: int,
+                  stride: int) -> list[list[tuple[int, bytes]]]:
+    """For each byte i of a mask, the `bytes.translate` tables of wide
+    levels, cut from its byte table: (x * stride + o, T) for each letter x
+    and byte o that byte i's states reach under x, T[v] being byte o of the
+    x-image of byte value v; and under the careful rule, for k letters,
+    (k * stride + x, K) when x is undefined on a state of byte i, K[v] 0xFF
+    when v holds such a state, else 0."""
+    slices = []
+    for i, table in enumerate(tables):
+        sliced = []
+        for x, d in enumerate(defined):
+            images = [u >> x * n & (1 << n) - 1 for u in table]
+            rows = b"".join([u.to_bytes(stride, "little") for u in images])
+            reach = images[-1]  # all of byte i's states
+            while reach:  # only the bytes reached, the highest first
+                o = (reach.bit_length() - 1) >> 3
+                reach &= (1 << 8 * o) - 1
+                sliced.append((x * stride + o, rows[o::stride].ljust(256, b"\0")))
+            if careful and (off := ~d >> 8 * i & len(table) - 1):
+                sliced.append((len(defined) * stride + x,
+                               bytes(255 if v & off else 0 for v in range(256))))
+        slices.append(sliced)
+    return slices
+
+
+def _little(words):
+    """An `array("Q")` in little-endian byte order, swapped in place on a
+    big-endian host; swapping is its own inverse, so it both packs and
+    unpacks (an untested branch: no big-endian host has run it)."""
+    if byteorder == "big":
+        words.byteswap()
+    return words
+
+
 Expand = Callable[[list], list]
 
 
@@ -236,26 +260,31 @@ def _images(a: Automaton, careful: bool) -> Expand:
     level of masks in one flat list, k per mask (k letters), node-major and
     in alphabet order, with 0 where the careful rule forbids the letter.
 
-    A mask's images come from its states' packed columns: OR-ing them
-    gives t's images under all letters side by side, cut into one mask per
-    letter.  A level of fewer than 16 masks runs one mask at a time: on
-    the byte tables, one entry per byte of the mask (a one-byte mask
-    indexes its table directly), when the level is dense (twice its bit
-    count over masks * nbytes) and the search has expanded entries /
-    nbytes masks, so that the tables (256 entries per full byte, 2^r for
-    a top byte of r states, about one step each to build) cost no more
-    than the bit loops already run; else with one OR per set bit.  A wider
-    level runs on that bit loop until `256 * nbytes` masks are expanded,
-    then through `map`s over the tables, so the per-mask work runs in C:
-    each byte position is looked up for every mask at once and OR-ed in,
-    and one pass per letter cuts out its images and applies the careful
-    rule, a multiply by `t & defined == t`.  On 8 to 200 states the maps
-    overtake per-mask lookups at 10 to 30 masks, and the lookups overtake
-    the bit loop near nbytes / 2 states a mask.  Up to 64 states that
-    level is packed into bytes in one C conversion, `array("Q",
-    frontier).tobytes()`, byte-swapped first on a big-endian host (an
-    untested branch: the hosts it has run on are little-endian), and past
-    that with one `int.to_bytes` per mask, `nbytes` bytes little-endian.
+    A level of fewer than 16 masks, and any level until `256 * nbytes`
+    masks are expanded, runs one mask at a time: OR-ing the packed columns
+    of t's states gives its images under all letters side by side, cut
+    into one mask per letter.  The bit loop ORs one column per set bit;
+    the byte tables (`_byte_tables`) one entry per byte of t, or index
+    them directly for one-byte masks.  A level uses the tables when it is
+    dense (twice its bit count over masks * nbytes) and the search has
+    expanded entries / nbytes masks, so that the tables (256 entries per
+    full byte, 2^r for a top byte of r states) cost no more than the bit
+    loops already run.
+
+    A wider level is byte-sliced, its per-mask work in C.  It is packed
+    `stride` bytes a mask: one machine word up to 64 states, by
+    `array("Q", frontier)`, else nbytes, one `int.to_bytes` a mask.
+    Column i, `data[i::stride]`, holds byte i of every mask; each
+    `_slice_tables` table is one `translate` pass over a column, OR-ed in
+    as a big int (a zero column is skipped), and the careful tables'
+    marks clear the images the rule denies.  The images are written out
+    node-major and read back by `array("Q").tolist()`, or past 64 states
+    by one `int.from_bytes` an image over `struct.iter_unpack`; `_little`
+    orders the bytes of both `array` conversions.  The fixed cost of a
+    level grows with the tables: the per-mask paths are faster up to
+    about 10 masks on Cerny 18 (9 tables), 48 and 64 on the 94- and
+    564-state automata of the m = 8 subset chain (126 and 518); its
+    levels of 16 to 63 masks take about 0.1 s of its 5 s, so 16 stays.
     """
     defined, packed = transition_masks(a)
     n = a.n
@@ -264,14 +293,15 @@ def _images(a: Automaton, careful: bool) -> Expand:
     k = len(defined)
     # (shift, mask of the states where the letter may be applied)
     letters = [(x * n, d if careful else full) for x, d in enumerate(defined)]
-    last = (k - 1) * n  # the last letter's bits are the top ones: no cut
     switch = 256 * nbytes
+    stride = 8 if n <= 64 else nbytes  # a mask's bytes on a wide level
     entries = 256 * (n // 8) + (1 << n % 8 if n % 8 else 0)
     expanded = 0
     tables: Optional[list[list[int]]] = None
+    slices: Optional[list] = None
 
     def expand(frontier: list[int]) -> list[int]:
-        nonlocal expanded, tables
+        nonlocal expanded, tables, slices
         width = len(frontier)
         if width < 16 or expanded < switch:  # one mask at a time
             lookup = width < 16 and expanded * nbytes >= entries and (
@@ -297,32 +327,33 @@ def _images(a: Automaton, careful: bool) -> Expand:
                 for shift, d in letters:
                     flat.append((u >> shift) & full if t & d == t else 0)
             return flat
-        if tables is None:
-            tables = _byte_tables(packed, nbytes)
-        if n <= 64:  # one machine word per mask, packed in one conversion
-            # imported here, as in `_bfs`: only searches that reach the tables load it
-            from array import array
-            words = array("Q", frontier)
-            if byteorder == "big":
-                words.byteswap()
-            data, stride = words.tobytes(), 8
+        if slices is None:
+            tables = tables or _byte_tables(packed, nbytes)
+            slices = _slice_tables(tables, defined, careful, n, stride)
+        from array import array  # as in `_bfs`: only wide searches load it
+        if n <= 64:
+            data = _little(array("Q", frontier)).tobytes()
         else:
-            data = b"".join(map(int.to_bytes, frontier, repeat(nbytes), repeat("little")))
-            stride = nbytes
-        # data[i::stride] holds byte i of every mask, the least significant first
-        unions = map(tables[0].__getitem__, data[::stride])
-        for i in range(1, nbytes):
-            unions = map(or_, unions, map(tables[i].__getitem__, data[i::stride]))
-        unions = list(unions)
-        flat = [0] * (len(frontier) * k)
-        for x, (shift, d) in enumerate(letters):
-            image = map(rshift, unions, repeat(shift)) if shift else unions
-            if shift != last:
-                image = map(and_, image, repeat(full))
-            if d != full:
-                image = map(mul, image, map(eq, map(and_, frontier, repeat(d)), frontier))
-            flat[x::k] = image
-        return flat
+            data = b"".join(map(int.to_bytes, frontier, repeat(stride), repeat("little")))
+        # acc[x * stride + o]: byte o of every x-image, one byte a mask; then
+        # acc[k * stride + x]: 0xFF for every mask the careful rule denies x
+        acc = [0] * (k * stride + k)
+        zero = bytes(width)
+        for i, sliced in enumerate(slices):
+            column = data[i::stride]  # byte i of every mask
+            if column != zero:  # else every table maps it to 0
+                for slot, table in sliced:
+                    acc[slot] |= int.from_bytes(column.translate(table), "little")
+        # byte o of mask j's x-image goes to out[(j * k + x) * stride + o]
+        out = bytearray(width * k * stride)
+        for slot in range(k * stride):
+            if u := acc[slot] & ~acc[k * stride + slot // stride]:
+                out[slot::k * stride] = u.to_bytes(width, "little")
+        del data, acc  # freed before the images are made
+        if n <= 64:
+            return _little(array("Q", out)).tolist()
+        images = map(itemgetter(0), iter_unpack(f"{stride}s", out))  # no copy of out
+        return list(map(int.from_bytes, images, repeat("little")))
 
     return expand
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syncwords.automata import dfa_from_table, nfa_from_sets, pfa_from_table, run
+from syncwords.automata import Memo, dfa_from_table, nfa_from_sets, pfa_from_table, run
 from syncwords.families import cerny, counting_word, debruijn_counter
 from syncwords.sampling import (random_careful_subset_pfa,
                                 random_carefully_synchronizing_pfa, random_dfa,
@@ -32,6 +32,21 @@ from syncwords.textio import parse, serialize
 from test_automata import dfas
 
 
+def _crossing_nfa(rng, n, k):
+    """An nfa whose cells each hold a random state, the mirror n - 1 - s
+    and s + 8: a byte's states reach several other bytes."""
+    return nfa_from_sets([[{rng.randrange(n), n - 1 - s, (s + 8) % n} for _ in range(k)]
+                          for s in range(n)], "abc"[:k])
+
+
+def _split_pfa(rng, n, k):
+    """A random pfa whose first letter is undefined on states 0 and n - 1
+    alone, two different bytes once n > 8."""
+    table = [[None if x == 0 and s in (0, n - 1) else rng.randrange(n) for x in range(k)]
+             for s in range(n)]
+    return pfa_from_table(table, "abc"[:k])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([random_dfa, random_pfa, random_nfa]), st.integers(1, 24),
        st.integers(1, 3), st.booleans(), st.randoms(use_true_random=False))
@@ -40,29 +55,37 @@ from test_automata import dfas
 @example(random_pfa, 64, 3, False, random.Random(64))
 @example(random_pfa, 65, 2, True, random.Random(65))
 @example(random_dfa, 100, 2, False, random.Random(100))
+@example(random_dfa, 1, 2, False, random.Random(1))
+@example(random_pfa, 9, 2, True, random.Random(9))
+@example(random_nfa, 63, 2, False, random.Random(63))
+@example(_crossing_nfa, 20, 2, False, random.Random(20))
+@example(_crossing_nfa, 70, 3, True, random.Random(70))
+@example(_split_pfa, 20, 3, True, random.Random(21))
+@example(_split_pfa, 130, 2, True, random.Random(130))
 def test_image_kernel_matches_delta(sample, n, k, careful, rng):
     # every per-level path of the kernel against the transition table.  A
     # level of fewer than 16 masks runs one mask at a time: on the byte
     # tables when it is dense (twice its bit count over masks * nbytes) and
     # the masks expanded before it reach the tables' entries / nbytes, else
     # on the bit loop.  A wider level runs on the bit loop until 256 *
-    # nbytes masks are expanded, then on maps over the tables.  The
-    # examples index one-byte masks directly (n = 5, 8), pack the widest
-    # masks of one machine word (n = 64) and those past it (n = 65, 100)
+    # nbytes masks are expanded, then byte-sliced.  The examples index
+    # one-byte masks directly (n = 1, 5, 8), pack and unpack masks of one
+    # machine word (n = 9, 63, 64) and wider ones (65, 70, 100, 130), and
+    # cover nfa cells that cross bytes and careful tables in two bytes
     a = sample(rng, n, k)
     nbytes = (n + 7) // 8
     full = (1 << n) - 1
 
-    def images(level):
-        expected = []
-        for t in level:
-            cells = [a.delta[s] for s in range(n) if t >> s & 1]
-            expected += [
-                0 if careful and not all(row[x] for row in cells)
+    def images_of(t):
+        cells = [a.delta[s] for s in range(n) if t >> s & 1]
+        return [0 if careful and not all(row[x] for row in cells)
                 else mask_of(frozenset().union(*(row[x] for row in cells)))
-                for x in range(k)
-            ]
-        return expected
+                for x in range(k)]
+
+    memo = Memo(images_of)  # each mask once: the wide level is checked five times
+
+    def images(level):
+        return [u for t in level for u in memo[t]]
 
     def dense(level):
         return 2 * sum(t.bit_count() for t in level) > len(level) * nbytes
@@ -72,21 +95,23 @@ def test_image_kernel_matches_delta(sample, n, k, careful, rng):
     narrow_dense = [full] + [rng.getrandbits(n) | 1 for _ in range(14)]
     narrow_sparse = [0, 1 << n - 1] * 7
     assert dense(narrow_dense) and not dense(narrow_sparse)
-    # (kernel, level, the tables built after it)
-    steps = [(0, [], 0),
-             (0, narrow_dense, 0),  # no mask expanded yet: the bit loop
-             (0, wide, 0),  # under the switch: the bit loop
-             (0, narrow_sparse, 0),  # past it, but sparse: the bit loop
-             (0, narrow_dense, 1),  # the tables, one mask at a time
-             (0, wide, 1),  # the maps over the same tables
-             (0, narrow_dense[:1], 1),
-             (1, wide, 1),
-             (1, wide, 2)]  # the maps build their own tables
-    with mock.patch.object(search, "_byte_tables", wraps=search._byte_tables) as tables:
+    # (kernel, level, byte tables and slice tables built after it)
+    steps = [(0, [], 0, 0),
+             (0, narrow_dense, 0, 0),  # no mask expanded yet: the bit loop
+             (0, wide, 0, 0),  # under the switch: the bit loop
+             (0, narrow_sparse, 0, 0),  # past it, but sparse: the bit loop
+             (0, narrow_dense, 1, 0),  # the byte tables, one mask at a time
+             (0, wide, 1, 1),  # byte-sliced
+             (0, narrow_dense[:1], 1, 1),
+             (0, wide, 1, 1),  # the slice tables are built once
+             (1, wide, 1, 1),
+             (1, wide, 2, 2)]  # byte-sliced: the slices are cut from byte tables
+    with mock.patch.object(search, "_byte_tables", wraps=search._byte_tables) as tables, \
+            mock.patch.object(search, "_slice_tables", wraps=search._slice_tables) as slices:
         kernels = [_images(a, careful), _images(a, careful)]
-        for kernel, level, built in steps:
+        for kernel, level, built, sliced in steps:
             assert kernels[kernel](level) == images(level)
-            assert tables.call_count == built
+            assert (tables.call_count, slices.call_count) == (built, sliced)
 
 
 def test_one_state_reset_is_empty():
@@ -261,13 +286,41 @@ def test_visited_table_changes_no_exhaustive_search():
     assert relevant_part(a, a.states)[0] == frozenset(a.states)
 
 
-CERNY_14_WITNESS = (1,) + ((0,) * 13 + (1,)) * 12
+def _cerny_word(n):
+    """The shortest reset word of Cerny n, b (a^(n-1) b)^(n-2)."""
+    return (1,) + ((0,) * (n - 1) + (1,)) * (n - 2)
+
+
+CERNY_14_WITNESS = _cerny_word(14)
 
 
 def test_cerny_14_is_pinned_past_the_switch():
     res = shortest_reset(cerny(14).automaton)
     assert (res.length, res.explored) == (169, 16370)
     assert res.witness == CERNY_14_WITNESS
+
+
+def test_cerny_18_is_pinned():
+    # 262,126 sets in 289 levels, most of them on byte-sliced levels
+    res = shortest_reset(cerny(18).automaton)
+    assert (res.length, res.explored, res.witness) == (289, 262_126, _cerny_word(18))
+
+
+def test_wide_search_past_64_states_is_pinned():
+    # Cerny 14, with a third letter undefined on its state 0 and the
+    # identity elsewhere, on 14 of 100 states spread over 9 bytes; the
+    # other states have no transitions, so every byte gets careful tables.
+    # Its masks are wider than a machine word, and most levels are
+    # byte-sliced
+    spots = sorted(random.Random(1).sample(range(100), 14))
+    table = [[None] * 3 for _ in range(100)]
+    for s, row in enumerate(cerny(14).automaton.delta):
+        table[spots[s]] = [spots[next(iter(cell))] for cell in row] + [None if s == 0 else spots[s]]
+    search._reset_search.cache_clear()  # measure a search, not a cache hit
+    with mock.patch.object(search, "_slice_tables", wraps=search._slice_tables) as slices:
+        res = shortest_subset_reset(pfa_from_table(table, "abc"), spots)
+    assert slices.call_count == 1
+    assert (res.length, res.explored, res.witness) == (169, 16370, CERNY_14_WITNESS)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
