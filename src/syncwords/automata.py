@@ -50,11 +50,12 @@ class Alphabet:
     def __post_init__(self) -> None:
         if not self.symbols:
             raise ValueError("alphabet must be nonempty")
+        for tok in self.symbols:  # before the set, which needs hashable tokens
+            if (not isinstance(tok, str) or not tok or any(c.isspace() for c in tok)
+                    or tok == "-" or "#" in tok):
+                raise ValueError(f"bad letter token {tok!r}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet tokens must be distinct")
-        for tok in self.symbols:
-            if not tok or any(c.isspace() for c in tok) or tok == "-" or "#" in tok:
-                raise ValueError(f"bad letter token {tok!r}")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -123,7 +124,8 @@ class Automaton:
     def _raise_first_bad_label(self) -> None:
         """Name the first label that fails a check."""
         for lab in self.state_labels:
-            if not lab or any(c.isspace() for c in lab) or "=" in lab or "#" in lab:
+            if (not isinstance(lab, str) or not lab or any(c.isspace() for c in lab)
+                    or "=" in lab or "#" in lab):
                 raise ValueError(f"bad state label {lab!r}")
 
     def _raise_first_bad_cell(self) -> None:

@@ -61,9 +61,11 @@ while it is still cached is not made again; no other search is cached.
 
 The brute-force oracle shares neither piece on purpose, so that it stays
 an independent check of the kernel and the driver: it builds its own
-successor columns from the transition table and memoizes per distinct
-mask or node, but still generates, tests and counts every word up to its
-length bound, merging none (see `brute_force_oracle`).
+successor columns from the transition table and runs its own level loop,
+one for all six modes.  It numbers each distinct mask or node and lists
+each level as one number per word, so it memoizes per node but still
+generates, tests and counts every word up to its length bound, merging
+none (see `brute_force_oracle`).
 
 The "careful" applicability rule (a letter may be applied to an active
 set only if it is defined on every active state) is used for pfa in all
@@ -75,7 +77,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial, reduce
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from math import inf
 from operator import and_, itemgetter, mul, not_
 from struct import iter_unpack
@@ -852,154 +854,128 @@ def _column_image(column: Sequence[int], m: int) -> int:
     return u
 
 
-def _decode(code: int, k: int, length: int) -> Word:
-    """The word of the given length whose letters are code's base-k digits."""
-    word = []
-    for _ in range(length):
-        code, x = divmod(code, k)
-        word.append(x)
-    return tuple(reversed(word))
-
-
 def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
                        max_len: int) -> SearchResult:
     """Independent oracle: test every word of length 0..max_len in
     length-then-lexicographic order and return the first hit.
 
     No visited-set deduplication or reachability pruning is performed;
-    only prefixes that are inapplicable by definition (a careful-mode
-    letter undefined on an active state) are not extended.  `explored`
-    counts the tested words of length 1 or more (1 when the empty word
-    hits).  Status not_synchronizing means "no hit within max_len".
+    only words that cannot go on are not extended.  A careful-mode letter
+    undefined on an active state is not applied, so that word is neither
+    tested nor counted; in the classic, careful and subset modes a word
+    whose set has fewer than two states is tested but not extended.
+    `explored` counts the tested words of length 1 or more (1 when the
+    empty word hits).  Status not_synchronizing means "no hit within
+    max_len".
 
     The oracle shares no table or search code with the engine.  Images
     come from one `Memo` per letter over a successor column built from
-    `a.delta`, which caches per distinct mask: every word is still
-    generated, tested and counted.  Each memo caches a pure function of
-    its key and merges no words.
-
-    The classic, careful and subset modes walk each level word by word,
-    carrying a word as its mask and its base-k code.  One `Memo` holds
-    each distinct mask's expansion (hit, tested, extend): `hit` is the
-    first letter, of those the careful rule allows on the mask, whose
-    image is one state, or None; `tested` counts the allowed letters up to
-    and including it, or all of them when there is none; and `extend`
-    lists the (letter, image) pairs before it whose image has two or more
-    states.  A word then costs one lookup, one addition to `explored` and
-    its appends, and is counted exactly as a test of each applicable
-    letter in order would count it.
-
-    The directing modes number each distinct node (a tuple of per-start
-    images) and test it once; one `Memo` per letter maps a node's number
-    to its successor's.  A level lists one number per word, built a
-    letter at a time through `map`s, so no word is merged or skipped and
-    the word at index i of a level is i in base k.  `numbered` records
-    when it numbers a hit node, and only then is the level scanned for its
-    first hit: nodes are numbered only while a level is built, so that
-    level is the first that can hold a hit, and every earlier level is
-    counted whole.
+    `a.delta`, and one level loop serves all six modes.  Each distinct
+    node (a mask, or in the directing modes the tuple of per-start
+    images) is numbered and tested once, when it is first met; number 0
+    stands for a letter the careful rule forbids.  One `Memo` per letter
+    maps a node's number to its successor's.  A level lists one number
+    per word, k per word of the level before, built a letter at a time
+    through `map`s, so every word is still generated, tested and counted;
+    the memos cache pure functions of a node and merge no words.  The
+    next level keeps the words that go on, and every level's list is
+    kept, so the hit's word is spelled back through the positions of the
+    kept words.  `numbered` records when it numbers a hit node, and only
+    then is the level scanned for its first hit: nodes are numbered only
+    while a level is built, so that level is the first that can hold a
+    hit, and every earlier level is counted whole.
     """
     _check_mode(mode, subset)
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
     t0 = time.perf_counter()
+    n = a.n
     k = len(a.alphabet)
-    letters = range(k)
-    memos = [Memo(partial(_column_image, [mask_of(a.delta[s][x]) for s in a.states]))
-             for x in letters]
-    explored = 0
+    images = [Memo(partial(_column_image, [mask_of(a.delta[s][x]) for s in a.states]))
+              .__getitem__ for x in range(k)]
+    directing = mode in (D1, D2, D3)
 
-    if mode in (CLASSIC, CAREFUL, SUBSET):
-        start = _subset_mask(a, subset) if mode == SUBSET else (1 << a.n) - 1
-        if start.bit_count() == 1:
-            return SearchResult(FOUND, 0, (), 1, time.perf_counter() - t0)
+    if not directing:
+        start = _subset_mask(a, subset) if mode == SUBSET else (1 << n) - 1
         careful = mode != CLASSIC or a.kind == PFA
         # every letter is allowed on t when t & defined == t; -1 allows all
         defined = [mask_of(s for s in a.states if a.delta[s][x]) if careful else -1
-                   for x in letters]
-        steps = list(zip(letters, memos, defined))
+                   for x in range(k)]
 
-        def expansion(t: int) -> tuple[Optional[int], int, list[tuple[int, int]]]:
-            hit = None
-            tested = 0
-            extend = []
-            for x, memo, d in steps:
-                if t & d != t:
-                    continue
-                u = memo[t]
-                tested += 1
-                if u & (u - 1):  # two or more states: extend
-                    extend.append((x, u))
-                elif u:  # one state: a hit; an empty image is dropped
-                    hit = x
-                    break
-            return hit, tested, extend
+        def successor(x: int, t: int) -> Optional[int]:
+            return images[x](t) if t & defined[x] == t else None  # None: forbidden
 
-        expansions = Memo(expansion)
-        masks, codes = [start], [0]
-        for depth in range(1, max_len + 1):
-            next_masks, next_codes = [], []
-            for t, code in zip(masks, codes):
-                hit, tested, extend = expansions[t]
-                explored += tested
-                code *= k
-                if hit is not None:
-                    return SearchResult(FOUND, depth, _decode(code + hit, k, depth),
-                                        explored, time.perf_counter() - t0)
-                for x, u in extend:
-                    next_masks.append(u)
-                    next_codes.append(code + x)
-            masks, codes = next_masks, next_codes
-        return SearchResult(NOT_SYNCHRONIZING, explored=explored,
-                            elapsed=time.perf_counter() - t0)
+        def hit(t: int) -> bool:
+            return t.bit_count() == 1
 
-    n = a.n
-    if mode == D1:
-        def hit(node: tuple[int, ...]) -> bool:
-            return node[0].bit_count() == 1 and node.count(node[0]) == n
-    elif mode == D2:
-        def hit(node: tuple[int, ...]) -> bool:
-            return node.count(node[0]) == n
+        def goes_on(t: int) -> bool:
+            return t & (t - 1) != 0  # two or more states
     else:
-        def hit(node: tuple[int, ...]) -> bool:
-            return reduce(and_, node) != 0
+        start = tuple(1 << s for s in range(n))
 
-    start_t = tuple(1 << s for s in range(n))
-    if hit(start_t):
+        def successor(x: int, node: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple(map(images[x], node))
+
+        if mode == D1:
+            def hit(node: tuple[int, ...]) -> bool:
+                return node[0].bit_count() == 1 and node.count(node[0]) == n
+        elif mode == D2:
+            def hit(node: tuple[int, ...]) -> bool:
+                return node.count(node[0]) == n
+        else:
+            def hit(node: tuple[int, ...]) -> bool:
+                return reduce(and_, node) != 0
+
+        def goes_on(node: tuple[int, ...]) -> bool:
+            return True
+
+    if hit(start):
         return SearchResult(FOUND, 0, (), 1, time.perf_counter() - t0)
-    # node number -> tuple of per-start images, tuple -> number, number -> hit
-    nodes = [start_t]
-    number = {start_t: 0}
+    # node number -> node, hit flag and go-on flag; node -> number; the
+    # forbidden successor None is number 0
+    nodes: list = [None]
     hits = [False]
+    kept = [False]
+    number: dict = {None: 0}
     hit_numbered = False
 
-    def numbered(node: tuple[int, ...]) -> int:
+    def numbered(node) -> int:
         nonlocal hit_numbered
         j = number.get(node)
         if j is None:
             j = number[node] = len(nodes)
             nodes.append(node)
             hits.append(hit(node))
+            kept.append(goes_on(node))
             hit_numbered = hit_numbered or hits[-1]
         return j
 
     # per letter, a node's number -> its successor's number
-    steps = [Memo(lambda i, image=memo.__getitem__: numbered(tuple(map(image, nodes[i]))))
-             .__getitem__ for memo in memos]
-    level = [0]
+    steps = [Memo(lambda i, x=x: numbered(successor(x, nodes[i]))).__getitem__
+             for x in range(k)]
+    level = [numbered(start)]
+    levels = []  # per length, one number per word
+    explored = 0
     for depth in range(1, max_len + 1):
-        # one entry per word: nothing is pruned, so the word at index i of a
-        # level is i in base k
         nxt = [0] * (len(level) * k)
         for x, step in enumerate(steps):
             nxt[x::k] = map(step, level)
+        levels.append(nxt)
         if hit_numbered:  # numbered while building nxt, so nxt holds it
             i = next(compress(count(), map(hits.__getitem__, nxt)))
-            explored += i + 1
-            return SearchResult(FOUND, depth, _decode(i, k, depth), explored,
+            explored += i + 1 - nxt[:i + 1].count(0)
+            # word i of a level extends kept word i // k of the level before
+            word = [i % k]
+            for prev in reversed(levels[:-1]):
+                i = next(islice(compress(count(), map(kept.__getitem__, prev)), i // k, None))
+                word.append(i % k)
+            return SearchResult(FOUND, depth, tuple(reversed(word)), explored,
                                 time.perf_counter() - t0)
         explored += len(nxt)
-        level = nxt
+        level = nxt  # the directing modes forbid no letter and end no word
+        if not directing:
+            explored -= nxt.count(0)
+            level = list(compress(nxt, map(kept.__getitem__, nxt)))
     return SearchResult(NOT_SYNCHRONIZING, explored=explored,
                         elapsed=time.perf_counter() - t0)
 

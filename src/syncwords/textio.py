@@ -143,7 +143,10 @@ def parse(text: str) -> Instance:
                     if "=" not in t:
                         raise ParseError(f"label {t!r} must be <id>=<name>", lineno)
                     sid, name = t.split("=", 1)
-                    labels[ids[sid]] = name
+                    s = ids[sid]
+                    if s in labels:
+                        raise ParseError(f"duplicate label for state {s}", lineno)
+                    labels[s] = name
             continue
 
         if len(toks) != 3:

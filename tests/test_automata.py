@@ -54,6 +54,9 @@ def test_alphabet_validation():
         Alphabet(("a b",))
     with pytest.raises(ValueError):
         Alphabet(("-",))
+    for tok in (5, ["b"]):
+        with pytest.raises(ValueError, match="bad letter token"):
+            Alphabet(("a", tok))  # type: ignore[arg-type]
     assert Alphabet(("0", "1", "κ", "ω")).index("κ") == 2
 
 
@@ -68,7 +71,7 @@ def test_kind_invariants():
     pfa_from_table([[None]], "a")  # undefined cell is fine for pfa
 
 
-@pytest.mark.parametrize("label", ["", "p q", "p=q", "p#q", " ", "p\u2003", "\x1c"])
+@pytest.mark.parametrize("label", ["", "p q", "p=q", "p#q", " ", "p\u2003", "\x1c", 5])
 def test_labels_the_text_format_cannot_hold_are_rejected(label):
     with pytest.raises(ValueError, match="bad state label"):
         dfa_from_table([[0]], "a", [label])

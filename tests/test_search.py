@@ -873,6 +873,10 @@ _PFA_BLIND = pfa_from_table([[2, 1, 1], [0, 2, 2], [1, None, 0]], "abc")
 _PFA_LATE = pfa_from_table([[None, 4, 3], [4, 4, 2], [0, None, 3], [0, 1, 1], [2, 1, 1]],
                            "abc")
 _NFA_D3_NONE = nfa_from_sets([[{3}, {3}], [{0, 3}, {1, 2, 3}], [{2, 3}, ()], [(), {2}]], "ab")
+# b empties every set: classic mode tests and counts that empty image but
+# does not extend it, so each length holds one word and counts two
+_NFA_EMPTIES = nfa_from_sets([[{0, 1}, ()], [{0, 1}, ()]], "ab")
+_NFA_ONE = nfa_from_sets([[{0}]], "a")
 
 # (automaton, subset, mode, max_len) -> (status, length, witness, explored);
 # the careful pfa cases skip prefixes (226 words tested, not the 363 of all
@@ -891,6 +895,10 @@ ORACLE_PINS = [
     ((_PFA_BLIND, {0, 1}, "subset", 5), (NOT_SYNCHRONIZING, None, None, 135)),
     ((_NFA_D3_NONE, None, "d3", 6), (NOT_SYNCHRONIZING, None, None, 126)),
     ((_PFA_LATE, None, "careful", 10), (FOUND, 6, (2, 0, 1, 0, 0, 2), 42)),
+    ((_NFA_EMPTIES, None, "classic", 4), (NOT_SYNCHRONIZING, None, None, 8)),
+    ((cerny(4).automaton, None, "classic", 0), (NOT_SYNCHRONIZING, None, None, 0)),
+    ((cerny(4).automaton, None, "d2", 0), (NOT_SYNCHRONIZING, None, None, 0)),
+    ((_NFA_ONE, None, "d1", 3), (FOUND, 0, (), 1)),
 ]
 
 
@@ -908,7 +916,7 @@ def test_oracle_is_independent_of_the_engine(monkeypatch):
         raise AssertionError("the oracle called the engine")
 
     for name in ("transition_masks", "_images", "_bfs", "directing_word", "_first_hit",
-                 "_reset_search"):
+                 "_reset_search", "_pair_goal", "_byte_tables", "_slice_tables"):
         monkeypatch.setattr(search, name, broken)
     assert _oracle_answers() == [pin for _, pin in ORACLE_PINS]
 
@@ -946,6 +954,10 @@ def test_engine_agrees_with_the_oracle(sample, n, k, rng):
 def test_shortest_word_agrees_with_the_oracle(args, pin):
     a, subset, mode, max_len = args
     status, length, witness, _ = pin
+    if mode not in _KIND_MODES[a.kind]:  # the oracle also answers what the engine rejects
+        with pytest.raises(ValueError):
+            shortest_word(a, subset, mode)
+        return
     res = shortest_word(a, subset, mode)
     if status == FOUND:
         assert (res.status, res.length, res.witness) == (FOUND, length, witness)

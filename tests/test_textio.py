@@ -72,6 +72,8 @@ def test_nfa_duplicate_lines_union():
         ("kind dfa\nstates 1\nletters a\n0 a 0\n0 a 0\n", 5, "duplicate"),
         ("kind pfa\nstates 1\nletters a\n0 a 0\n0 a -\n", 5, "duplicate"),
         ("kind dfa\nstates 2\nletters a\nsubset 0 9\n0 a 0\n1 a 1\n", 4, "out of range"),
+        ("kind dfa\nstates 1\nletters a\n0 a 0\nlabels 0=p 0=q\n", 5,
+         "duplicate label for state 0"),
         # a bad token is reported on the first line that holds it
         ("kind pfa\nstates 2\nletters a b\n0 a 1,7\n1 a 1,7\n", 4, "state 7 out of range"),
         ("kind pfa\nstates 2\nletters a b\n0 a 1\n1 x 1\n0 b 1\n1 a x\n1 b x\n",
