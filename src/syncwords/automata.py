@@ -6,6 +6,10 @@ partial (pfa) and nondeterministic (nfa) machines via a kind tag; the
 transition table maps every (state, letter) cell to a frozenset of
 successors (exactly one for dfa, at most one for pfa).
 
+Outside the text parser and `restrict`, whose cells may be an nfa's,
+every automaton the package makes is built from a successor table by
+`dfa_from_table`, `pfa_from_table` or `nfa_from_sets`.
+
 All values are immutable after construction and every operation here is
 a pure function, so instances can be shared freely across threads.  The
 one mutable type, `Memo`, is a cache of a pure function, not a value.
@@ -70,6 +74,20 @@ class Alphabet:
             raise KeyError(f"unknown letter {token!r}") from None
 
 
+def _labels_are_valid(labels: tuple) -> bool:
+    """All labels checked at once: the text format splits on whitespace
+    and `=` and cuts `#`, so each label must be a nonempty string without
+    them.  Joined by `=`, the labels hold one fewer `=` than there are
+    labels, no `#` and no whitespace exactly when every label is free of
+    all three."""
+    try:
+        joined = "=".join(labels)
+    except TypeError:
+        return False  # a label that is not a string
+    return (all(labels) and joined.count("=") == len(labels) - 1
+            and "#" not in joined and joined.split() == [joined])
+
+
 @dataclass(frozen=True)
 class Automaton:
     kind: str
@@ -90,8 +108,10 @@ class Automaton:
         if self.state_labels is not None:
             if len(self.state_labels) != self.n:
                 raise ValueError("need one label per state")
-            if not self._labels_are_valid():
-                self._raise_first_bad_label()
+            if not _labels_are_valid(self.state_labels):
+                bad = next(lab for lab in self.state_labels
+                           if not _labels_are_valid((lab,)))
+                raise ValueError(f"bad state label {bad!r}")
 
     def _table_is_valid(self) -> bool:
         """The whole transition table checked at once: row lengths, the
@@ -108,25 +128,6 @@ class Automaton:
             return False
         sizes = set(map(len, cells))
         return (self.kind == NFA or max(sizes) <= 1) and (self.kind != DFA or min(sizes) == 1)
-
-    def _labels_are_valid(self) -> bool:
-        """All labels checked at once: the text format splits on whitespace
-        and `=` and cuts `#`, so each label must be a nonempty string
-        without them.  Joined by `=`, the labels hold n - 1 of them, no `#`
-        and no whitespace exactly when every label is free of all three."""
-        try:
-            joined = "=".join(self.state_labels)
-        except TypeError:
-            return False  # a label that is not a string
-        return (all(self.state_labels) and joined.count("=") == self.n - 1
-                and "#" not in joined and joined.split() == [joined])
-
-    def _raise_first_bad_label(self) -> None:
-        """Name the first label that fails a check."""
-        for lab in self.state_labels:
-            if (not isinstance(lab, str) or not lab or any(c.isspace() for c in lab)
-                    or "=" in lab or "#" in lab):
-                raise ValueError(f"bad state label {lab!r}")
 
     def _raise_first_bad_cell(self) -> None:
         """Name the first row or cell, in table order, that fails a check."""
@@ -186,8 +187,10 @@ def dfa_from_table(
     letters: Sequence[str],
     labels: Optional[Sequence[str]] = None,
 ) -> Automaton:
-    """Build a DFA from table[s][x] = successor state."""
-    delta = tuple(tuple(frozenset((t,)) for t in row) for row in table)
+    """Build a DFA from table[s][x] = successor state.  Outside the text
+    parser, every dfa the package makes is built here."""
+    # zip(row) yields the 1-tuples (t,): no Python-level step per cell
+    delta = tuple(tuple(map(frozenset, zip(row))) for row in table)
     return Automaton(DFA, len(table), Alphabet(tuple(letters)), delta,
                      tuple(labels) if labels else None)
 
@@ -197,10 +200,12 @@ def pfa_from_table(
     letters: Sequence[str],
     labels: Optional[Sequence[str]] = None,
 ) -> Automaton:
-    """Build a PFA from table[s][x] = successor or None for undefined."""
-    delta = tuple(
-        tuple(frozenset(() if t is None else (t,)) for t in row) for row in table
-    )
+    """Build a PFA from table[s][x] = successor or None for undefined.
+    Outside the text parser and `restrict`, every pfa the package makes is
+    built here."""
+    # a list, not a generator: no generator step per cell
+    delta = tuple(tuple([frozenset(() if t is None else (t,)) for t in row])
+                  for row in table)
     return Automaton(PFA, len(table), Alphabet(tuple(letters)), delta,
                      tuple(labels) if labels else None)
 
@@ -210,7 +215,10 @@ def nfa_from_sets(
     letters: Sequence[str],
     labels: Optional[Sequence[str]] = None,
 ) -> Automaton:
-    delta = tuple(tuple(frozenset(cell) for cell in row) for row in table)
+    """Build an NFA from table[s][x] = an iterable of successors, empty
+    for none.  Outside the text parser, every nfa the package makes is
+    built here."""
+    delta = tuple(tuple(map(frozenset, row)) for row in table)
     return Automaton(NFA, len(table), Alphabet(tuple(letters)), delta,
                      tuple(labels) if labels else None)
 

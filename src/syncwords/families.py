@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .automata import Alphabet, Automaton, DFA, Instance, Pair, StateSet, Word
+from .automata import Automaton, Instance, Pair, StateSet, Word, dfa_from_table
 
 
 def de_bruijn(k: int) -> str:
@@ -181,8 +181,7 @@ def debruijn_counter(m: int, bits: Optional[str] = None) -> CounterInstance:
     labels.extend(f"C{j}" for j in range(k + 1))
     labels.extend(("D", "Dx"))
 
-    delta = tuple(tuple(frozenset((t,)) for t in row) for row in table)
-    automaton = Automaton(DFA, n, Alphabet(COUNTER_LETTERS), delta, tuple(labels))
+    automaton = dfa_from_table(table, COUNTER_LETTERS, labels)
 
     subset = frozenset([sw(i, _F0) for i in range(m)] + [clock0, drain])
     blocks = [frozenset(range(5 * i, 5 * i + 5)) for i in range(m)]
@@ -255,6 +254,4 @@ def cerny(n: int) -> Instance:
         raise ValueError("need at least 2 states")
     table = [[(s + 1) % n, s] for s in range(n)]
     table[0][1] = 1
-    delta = tuple(tuple(frozenset((t,)) for t in row) for row in table)
-    automaton = Automaton(DFA, n, Alphabet(("a", "b")), delta)
-    return Instance(automaton, frozenset(range(n)))
+    return Instance(dfa_from_table(table, "ab"), frozenset(range(n)))

@@ -25,9 +25,9 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .automata import (DFA, PFA, Alphabet, Automaton, Instance, Pair,
-                       StateSet, Word, augmentation_connects,
-                       is_strongly_connected, restrict, run)
+from .automata import (DFA, PFA, Automaton, Instance, Pair, StateSet, Word,
+                       augmentation_connects, dfa_from_table,
+                       is_strongly_connected, pfa_from_table, restrict, run)
 from .families import counting_word, debruijn_counter
 from .search import (BLIND, BlindSubsetError, SearchBudget, SearchResult,
                      check_transversal_partition, is_swap_congruence, replay,
@@ -42,6 +42,12 @@ def _fresh_tokens(base: str, number: int, taken: Iterable[str],
     taken = set(taken)
     names = (f"{base}{i}" if i else base for i in itertools.count(first))
     return list(itertools.islice((t for t in names if t not in taken), number))
+
+
+def _table(a: Automaton) -> list[list[Optional[int]]]:
+    """The successor table of a dfa or pfa: table[s][x] is the successor,
+    or None where the cell is undefined."""
+    return [[next(iter(cell), None) for cell in row] for row in a.delta]
 
 
 def _chosen_arc(a: Automaton, target: int, pairs: Sequence[Pair]) -> tuple[int, Word]:
@@ -96,20 +102,13 @@ def add_sink_determinization(a: Automaton, subset: Iterable[int],
         raise ValueError("determinization applies to dfa/pfa")
     subset = frozenset(subset)
     target = _sync_target(a, subset, budget)
-    n = a.n
-    drain, trap = n, n + 1
+    drain, trap = a.n, a.n + 1
     (finish,) = _fresh_tokens("ω", 1, a.alphabet.symbols)
-    letters = Alphabet(a.alphabet.symbols + (finish,))
-    delta = []
-    for s in a.states:
-        row = [cell if cell else frozenset((trap,)) for cell in a.delta[s]]
-        row.append(frozenset((drain if s == target else trap,)))
-        delta.append(tuple(row))
-    sink_row = lambda t: tuple(frozenset((t,)) for _ in range(len(letters)))
-    delta.append(sink_row(drain))
-    delta.append(sink_row(trap))
+    table = [[trap if t is None else t for t in row] + [drain if s == target else trap]
+             for s, row in enumerate(_table(a))]
+    table += [[drain] * (len(a.alphabet) + 1), [trap] * (len(a.alphabet) + 1)]
     labels = a.state_labels + ("D", "Dx") if a.state_labels else None
-    out = Automaton(DFA, n + 2, letters, tuple(delta), labels)
+    out = dfa_from_table(table, a.alphabet.symbols + (finish,), labels)
     return Instance(out, subset | {drain})
 
 
@@ -126,15 +125,10 @@ def add_link_letters(a: Automaton, pairs: Sequence[Pair]) -> Instance:
     if not pairs:
         return Instance(a)
     toks = _fresh_tokens("ψ", len(pairs), a.alphabet.symbols, first=1)
-    letters = Alphabet(a.alphabet.symbols + tuple(toks))
-    delta = []
-    for s in a.states:
-        row = list(a.delta[s])
-        for r, q in pairs:
-            row.append(frozenset((q,)) if s == r else frozenset())
-        delta.append(tuple(row))
-    out = Automaton(PFA, a.n, letters, tuple(delta), a.state_labels)
-    return Instance(out)
+    table = [row + [q if s == r else None for r, q in pairs]
+             for s, row in enumerate(_table(a))]
+    return Instance(pfa_from_table(table, a.alphabet.symbols + tuple(toks),
+                                   a.state_labels))
 
 
 def swap_doubling(a: Automaton, subset: Iterable[int], pairs: Sequence[Pair],
@@ -156,51 +150,22 @@ def swap_doubling(a: Automaton, subset: Iterable[int], pairs: Sequence[Pair],
     subset = frozenset(subset)
     chosen, _ = _chosen_arc(a, _sync_target(a, subset, budget), pairs)
 
+    # the rows of the unbarred copy and of E; each barred state's row is
+    # its partner's row mapped through `partner`
     n = a.n
     east, east_bar = 2 * n, 2 * n + 1
-
-    def partner(s: int) -> int:
-        if s == east:
-            return east_bar
-        if s == east_bar:
-            return east
-        return s + n if s < n else s - n
-
+    partner = [*range(n, 2 * n), *range(n), east_bar, east]
+    half = [row + [q if s == r else (partner[q] if j == chosen else east_bar)
+                   for j, (r, q) in enumerate(pairs)]
+            for s, row in enumerate(_table(a))]
+    half.append([east] * len(a.alphabet)
+                + [q if j == chosen else east for j, (_, q) in enumerate(pairs)])
+    barred = [[partner[t] for t in row] for row in half]
     toks = _fresh_tokens("ψ", len(pairs), a.alphabet.symbols, first=1)
-    letters = Alphabet(a.alphabet.symbols + tuple(toks))
-    base_letters = len(a.alphabet)
-
-    def base(s: int, x: int) -> int:
-        # transition for the unbarred copy and E; barred states follow by partner
-        if x < base_letters:
-            if s == east:
-                return east
-            return next(iter(a.delta[s][x]))
-        r, q = pairs[x - base_letters]
-        if x - base_letters == chosen:
-            if s == east:
-                return q
-            return q if s == r else partner(q)
-        if s == east:
-            return east
-        return q if s == r else east_bar
-
-    delta = []
-    for s in range(2 * n + 2):
-        row = []
-        for x in range(len(letters)):
-            if s < n or s == east:
-                row.append(frozenset((base(s, x),)))
-            else:
-                row.append(frozenset((partner(base(partner(s), x)),)))
-        delta.append(tuple(row))
-
-    labels = tuple(
-        [a.label(s) for s in a.states]
-        + [a.label(s) + "'" for s in a.states]
-        + ["E", "E'"]
-    )
-    out = Automaton(DFA, 2 * n + 2, letters, tuple(delta), labels)
+    labels = ([a.label(s) for s in a.states] + [a.label(s) + "'" for s in a.states]
+              + ["E", "E'"])
+    out = dfa_from_table(half[:n] + barred[:n] + half[n:] + barred[n:],
+                         a.alphabet.symbols + tuple(toks), labels)
     partition = tuple(frozenset((s, s + n)) for s in range(n)) + (
         frozenset((east, east_bar)),)
     return Instance(out, subset | {east}, partition)
@@ -226,16 +191,14 @@ def add_restart_letter(a: Automaton, subset: Iterable[int],
     domain = sorted(set().union(*blocks))
     sub = restrict(a, domain)
     (restart,) = _fresh_tokens("α", 1, a.alphabet.symbols)
-    letters = Alphabet(a.alphabet.symbols + (restart,))
     anchor = {}
     for b in blocks:
         (q,) = b & subset
         for s in b:
             anchor[s] = q
-    delta = tuple(row + (frozenset((domain.index(anchor[s]),)),)
-                  for s, row in zip(domain, sub.delta))
-    out = Automaton(PFA, sub.n, letters, delta, sub.state_labels)
-    return Instance(out)
+    table = [row + [domain.index(anchor[s])] for s, row in zip(domain, _table(sub))]
+    return Instance(pfa_from_table(table, a.alphabet.symbols + (restart,),
+                                   sub.state_labels))
 
 
 BINARY_LETTERS = ("α", "β")  # alpha applies the current letter, beta advances
@@ -266,26 +229,14 @@ def binarize(a: Automaton, subset: Optional[Iterable[int]] = None) -> Instance:
         raise ValueError("binarization applies to dfa/pfa")
     K = len(a.alphabet)
     order = list(range(K)) if subset is not None else _careful_letter_order(a)
-
-    def idx(s: int, i: int) -> int:
-        return s * K + i
-
-    delta = []
-    for s in a.states:
-        for i in range(K):
-            cell = a.delta[s][order[i]]
-            apply_cell = frozenset(idx(t, 0) for t in cell)
-            advance = frozenset((idx(s, min(i + 1, K - 1)),))
-            delta.append((apply_cell, advance))
-    labels = tuple(
-        f"{a.label(s)}|{a.alphabet.symbols[order[i]]}"
-        for s in a.states for i in range(K)
-    )
-    kind = a.kind if a.kind == DFA else PFA
-    out = Automaton(kind, a.n * K, Alphabet(BINARY_LETTERS), tuple(delta), labels)
+    # state (s, i) is s * K + i; alpha leads to (t, 0), beta to (s, i + 1)
+    table = [[None if row[x] is None else row[x] * K, s * K + min(i + 1, K - 1)]
+             for s, row in enumerate(_table(a)) for i, x in enumerate(order)]
+    labels = [f"{a.label(s)}|{a.alphabet.symbols[x]}" for s in a.states for x in order]
+    build = dfa_from_table if a.kind == DFA else pfa_from_table
     if subset is not None:
-        subset = frozenset(idx(s, 0) for s in subset)
-    return Instance(out, subset)
+        subset = frozenset(s * K for s in subset)
+    return Instance(build(table, BINARY_LETTERS, labels), subset)
 
 
 def encode_word(word: Sequence[int], n_letters: int) -> Word:
@@ -349,8 +300,9 @@ def run_reduction(name: str, instance: Instance,
 
     Names: add-sinks, connect, double, restart, binarize (subset mode
     when the instance has a subset, careful mode otherwise).  The checks
-    are the op's structural ones, its length relation when both searches
-    find a word, its witness checks, and the serialization round trip.
+    are the op's structural ones, whether both searches find a word or
+    neither does, the length relation and witness checks when both do,
+    and the serialization round trip.
     The input search is the careful search of the instance's subset, or
     of all states when it has none or the op is connect.  Raises
     BudgetExceededError when either search stops at the budget.
@@ -419,6 +371,7 @@ def run_reduction(name: str, instance: Instance,
 
     before = _shortest(a, subset, budget)
     after = _shortest(out.automaton, out.subset, budget)
+    checks.append(("synchronizability preserved", before.found == after.found))
     details = {}
     if name == "connect":
         details.update(status_in=before.status, status_out=after.status)
@@ -430,8 +383,6 @@ def run_reduction(name: str, instance: Instance,
             check_name, holds = relation
             checks.append((check_name, holds(before.length, after.length)))
         checks.extend(witness_checks(before, after))
-    elif name == "connect":
-        checks.append(("negative preserved", before.status == after.status))
     checks.append(("output serialization round-trips", parse(serialize(out)) == out))
     return ReductionReport(name, out, tuple(checks), MappingProxyType(details))
 

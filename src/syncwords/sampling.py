@@ -14,7 +14,8 @@ import random
 import string
 from typing import Optional
 
-from .automata import (Alphabet, Automaton, DFA, NFA, PFA, Pair, augmenting_pairs)
+from .automata import (Automaton, Pair, augmenting_pairs, dfa_from_table,
+                       nfa_from_sets, pfa_from_table)
 from .search import (SearchBudget, SearchResult, shortest_careful_reset,
                      shortest_subset_reset)
 
@@ -28,33 +29,18 @@ def _letters(count: int) -> tuple[str, ...]:
 
 
 def random_dfa(rng: random.Random, n: int, letters: int) -> Automaton:
-    delta = tuple(
-        tuple(frozenset((rng.randrange(n),)) for _ in range(letters))
-        for _ in range(n)
-    )
-    return Automaton(DFA, n, Alphabet(_letters(letters)), delta)
+    return dfa_from_table([[rng.randrange(n) for _ in range(letters)] for _ in range(n)],
+                          _letters(letters))
 
 
 def random_pfa(rng: random.Random, n: int, letters: int) -> Automaton:
-    delta = tuple(
-        tuple(
-            frozenset((rng.randrange(n),)) if rng.random() < PFA_DEFINED else frozenset()
-            for _ in range(letters)
-        )
-        for _ in range(n)
-    )
-    return Automaton(PFA, n, Alphabet(_letters(letters)), delta)
+    return pfa_from_table([[rng.randrange(n) if rng.random() < PFA_DEFINED else None
+                            for _ in range(letters)] for _ in range(n)], _letters(letters))
 
 
 def random_nfa(rng: random.Random, n: int, letters: int) -> Automaton:
-    delta = tuple(
-        tuple(
-            frozenset(t for t in range(n) if rng.random() < NFA_DENSITY)
-            for _ in range(letters)
-        )
-        for _ in range(n)
-    )
-    return Automaton(NFA, n, Alphabet(_letters(letters)), delta)
+    return nfa_from_sets([[[t for t in range(n) if rng.random() < NFA_DENSITY]
+                           for _ in range(letters)] for _ in range(n)], _letters(letters))
 
 
 def random_subset(rng: random.Random, n: int) -> frozenset[int]:

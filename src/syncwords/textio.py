@@ -18,9 +18,9 @@ parse(serialize(i)) == i byte-for-byte on re-serialization.
 
 from __future__ import annotations
 
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from operator import floordiv
-from typing import Optional
+from typing import Iterator, Optional
 
 from .automata import DFA, NFA, PFA, Alphabet, Automaton, Instance, Memo
 
@@ -43,18 +43,17 @@ def _int(tok: str, what: str, line: int) -> int:
 _SECTIONS = frozenset(("subset", "partition", "pairs", "labels"))
 
 
+def _tokenized(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each line that holds a token once its
+    comment is cut."""
+    return iter([(lineno, toks) for lineno, raw in enumerate(text.splitlines(), start=1)
+                 if (toks := raw.partition("#")[0].split())])
+
+
 def parse(text: str) -> Instance:
-    lines = enumerate(text.splitlines(), start=1)
-    header: list[tuple[int, list[str]]] = []
-    for lineno, raw in lines:
-        if "#" in raw:
-            raw = raw[:raw.index("#")]
-        toks = raw.split()
-        if toks:
-            header.append((lineno, toks))
-            if len(header) == 3:
-                break
-    else:
+    lines = _tokenized(text)  # the header takes three, the body the rest
+    header = list(islice(lines, 3))
+    if len(header) < 3:
         raise ParseError("incomplete header: need kind, states and letters lines")
     (l1, kind_toks), (l2, states_toks), (l3, letters_toks) = header
     if kind_toks[0] != "kind" or len(kind_toks) != 2:
@@ -106,12 +105,7 @@ def parse(text: str) -> Instance:
     labels: dict[int, str] = {}
     seen_sections: set[str] = set()
 
-    for lineno, raw in lines:
-        if "#" in raw:
-            raw = raw[:raw.index("#")]
-        toks = raw.split()
-        if not toks:
-            continue
+    for lineno, toks in lines:
         head = toks[0]
         if head in _SECTIONS:
             if head in seen_sections:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -12,7 +13,8 @@ from syncwords.reduce import (add_link_letters, add_restart_letter,
                               swap_doubling)
 from syncwords.sampling import (random_careful_subset_pfa,
                                 random_carefully_synchronizing_pfa,
-                                random_connectable_pairs,
+                                random_connectable_pairs, random_dfa,
+                                random_nfa, random_pfa,
                                 random_synchronizable_subset_dfa)
 from syncwords.search import (BlindSubsetError, BudgetExceededError,
                               SearchBudget, _reset_search, is_swap_congruence,
@@ -316,6 +318,7 @@ def test_chains_m4():
 
 
 ROUNDTRIP = "output serialization round-trips"
+PRESERVED = "synchronizability preserved"
 
 
 def _pinned_instances():
@@ -332,21 +335,24 @@ def _pinned_instances():
 
 
 @pytest.mark.parametrize("case, checks, details", [
-    ("add-sinks", ["state count +2", "letter count +1", "gap exactly +1"],
+    ("add-sinks", ["state count +2", "letter count +1", PRESERVED, "gap exactly +1"],
      ["length_in", "length_out"]),
-    ("connect", ["strongly connected", "letter count +arcs", "careful length equal",
+    ("connect", ["strongly connected", "letter count +arcs", PRESERVED,
+                 "careful length equal",
                  "witness avoids link letters"],
      ["status_in", "status_out", "length_in", "length_out"]),
     ("double", ["state count 2n+2", "strongly connected", "swap congruence",
-                "gap at least +1"],
+                PRESERVED, "gap at least +1"],
      ["length_in", "length_out", "gap"]),
     ("restart", ["letter count +1", "state count = block union",
-                 "restart letter idempotent on its image", "careful length in [L, L+1]"],
+                 "restart letter idempotent on its image", PRESERVED,
+                 "careful length in [L, L+1]"],
      ["length_in", "length_out"]),
-    ("binarize", ["state count k*n", "binary", "decoded witness resets the input subset",
+    ("binarize", ["state count k*n", "binary", PRESERVED,
+                  "decoded witness resets the input subset",
                   "encoded witness resets the output subset"],
      ["length_in", "length_out"]),
-    ("careful binarize", ["state count k*n", "binary", "careful length does not drop",
+    ("careful binarize", ["state count k*n", "binary", PRESERVED, "careful length does not drop",
                           "decoded witness carefully resets the input"],
      ["length_in", "length_out"]),
 ])
@@ -356,6 +362,51 @@ def test_report_check_names_and_details_are_pinned(case, checks, details):
     assert [name for name, _ in rep.checks] == checks + [ROUNDTRIP]
     assert list(rep.details) == details
     assert rep.ok
+
+
+def test_every_reduction_checks_that_synchronizability_survives(monkeypatch):
+    # a binarize that returns a same-size binary permutation automaton
+    # passes every structural check, but its subset is blind
+    def permutation(a, subset=None):
+        size = a.n * len(a.alphabet)
+        table = [[(s + 1) % size, s] for s in range(size)]
+        return Instance(dfa_from_table(table, "ab"),
+                        frozenset(s * len(a.alphabet) for s in subset))
+
+    monkeypatch.setattr("syncwords.reduce.binarize", permutation)
+    ci = debruijn_counter(2)
+    rep = run_reduction("binarize", Instance(ci.automaton, ci.subset))
+    assert not rep.ok
+    assert dict(rep.checks)[PRESERVED] is False
+
+
+# sha256 of the serialized output of each construction, taken before the
+# constructions were rewritten as successor tables
+CONSTRUCTION_DIGESTS = {
+    "add-sinks": "22dc507c16c540012f5d9c145fe52446840db2f359efb9bd03c67bf06b8020da",
+    "connect": "5ea81a6451ba8e174e7003017d50506314875bc2e2b95ad607f8c91142915ddf",
+    "double": "d4561e6eb70547c76df6c2acc18f1a546b5fe787e79f39ecd7cf1cb330e12c4b",
+    "restart": "45a2903ae7173886e90f05b2682a8cfaa8de235cd51b46bdf5f3d65108918f9d",
+    "binarize": "4bb923fc9de8f58d60caae81ee4f55cddecb4cc3b4be8f2677a46269ddc70bb6",
+    "careful binarize": "51b8ee02d530497763c6a69079f85fab12b69c33dfb561eb8d33ae2b2e875666",
+    "counter m=4": "542f965b62a417345dec9c6b8627da567bb78d3b66705d303ea2fad7316c4265",
+    "cerny n=5": "8efbfe271e491622d1d56bec347c2415d8c933466e404ac40ea9a2e3013ba59c",
+    "random dfa": "847be0f29b7cd7c5710636dbc3cf405c6274b3bab23465596c7198c0ec9b2440",
+    "random pfa": "0c4291e346ec695906f6b3d8cfd0e52749db38e5f1045880427d7ac67cc5e514",
+    "random nfa": "ef8b465c26a36b28fe486aa49c8a203c04ee3ef4f773e4b3886419e786d11f2b",
+}
+
+
+def test_construction_outputs_are_byte_pinned():
+    built = {case: run_reduction(case.split()[-1], instance, pairs=pairs).output
+             for case, (instance, pairs) in _pinned_instances().items()}
+    built["counter m=4"] = debruijn_counter(4).instance
+    built["cerny n=5"] = cerny(5)
+    for name, sample in (("dfa", random_dfa), ("pfa", random_pfa), ("nfa", random_nfa)):
+        built[f"random {name}"] = Instance(sample(random.Random(61), 6, 3))
+    digests = {name: hashlib.sha256(serialize(instance).encode()).hexdigest()
+               for name, instance in built.items()}
+    assert digests == CONSTRUCTION_DIGESTS
 
 
 def test_reports_are_frozen():
