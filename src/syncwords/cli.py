@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
@@ -40,6 +39,16 @@ from .search import (BUDGET_EXCEEDED, CAREFUL, CLASSIC, D1, D2, D3,
                      directing_word, is_swap_congruence, relevant_part,
                      shortest_reset, shortest_subset_reset, shortest_word)
 from .textio import ParseError, load, save, serialize
+
+# the interpreter's own SHA-256, as `random` takes its sha512: hashlib
+# loads OpenSSL's libcrypto, some 3.5 MiB of every process's memory
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,7 +90,7 @@ def _witness_block(instance: Instance, res: SearchResult, full: bool,
     if res.witness is None:
         return {}
     text = word_tokens(instance.automaton.alphabet, res.witness)
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    digest = sha256(text.encode()).hexdigest()[:16]
     out = {"witness_length": len(res.witness), "witness_digest": digest}
     if full or len(res.witness) <= limit:
         out["witness"] = text

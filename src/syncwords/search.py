@@ -389,10 +389,14 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: Optional[SearchBud
     discovered count to 4,096 and to 2^bits / 32, a `bytearray(1 << bits)`
     indexed by mask, 0 pre-marked as no edge, replaces the dict, which
     costs over 32 bytes a node.  Every expanded level is then kept as an
-    `array('q')` of its nodes' positions alone, 8 bytes a node.  Table and
-    dict answer the same membership questions and the positions are the
-    same, so no length, witness or count changes.  The floor of 4,096
-    keeps the tiny searches of a reduction from allocating tables.
+    `array('i')` of its nodes' positions alone, 4 bytes a node.  Signed
+    32 bits suffice: a position is -1 for `start`, else below the length
+    of its level's flat list, which is far below 2^31 for any level that
+    fits in memory; one that did not fit would raise OverflowError, never
+    wrap.  Table and dict answer the same membership questions and the
+    positions are the same, so no length, witness or count changes.  The
+    floor of 4,096 keeps the tiny searches of a reduction from allocating
+    tables.
 
     The node and memory caps are exact: `explored` never exceeds the cap
     `min(max_nodes, max_memory // node_bytes)`.  A cap of 0 stops the
@@ -438,13 +442,13 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: Optional[SearchBud
         else:
             if frontier is not fresh:
                 where = map(dict(zip(fresh, where)).__getitem__, frontier)
-            frontiers.append(array("q", where))
+            frontiers.append(array("i", where))
         if explored >= switch and table is None:
             # every level, the next one included, now keeps its positions
             # imported here: loading it adds to every process's RSS, and only
             # wide searches use it
             from array import array
-            frontiers = [array("q", map(parents.__getitem__, level)) for level in frontiers]
+            frontiers = [array("i", map(parents.__getitem__, level)) for level in frontiers]
             table = bytearray(1 << bits)
             table[0] = 1
             for t in parents:

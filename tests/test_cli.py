@@ -1,10 +1,19 @@
+import csv
+import hashlib
+import importlib.util
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import syncwords
 from syncwords import search
 from syncwords.cli import main
-from syncwords.families import debruijn_counter
+from syncwords.families import cerny, debruijn_counter
 from syncwords.textio import load, save
 
 
@@ -446,3 +455,50 @@ def test_verify_counter_exits_3_when_its_search_hits_the_budget(tmp_path, capsys
                              "--max-nodes", "100")
     assert (code, out) == (3, "")
     assert "counter search undecided within budget after 100 nodes" in err
+
+
+@pytest.fixture
+def cerny4_file(tmp_path):
+    path = tmp_path / "cerny4.aut"
+    save(path, cerny(4))
+    return str(path)
+
+
+def _witness_fields(out: str, fmt: str) -> dict:
+    if fmt == "json":
+        return json.loads(out)["results"][0]
+    if fmt == "csv":
+        return next(csv.DictReader(io.StringIO(out)))
+    line = out.splitlines()[2]  # after the command and instance lines
+    return dict(field.split("=", 1) for field in line.split())
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_witness_digest_is_the_sha256_of_the_printed_witness(cerny4_file, fmt, capsys):
+    # the report's digest is the first 16 hex digits of hashlib's SHA-256,
+    # whichever implementation the CLI loads
+    code, out, _ = run_cli(capsys, "shortest", cerny4_file, "--mode", "classic",
+                           "--format", fmt)
+    fields = _witness_fields(out, fmt)
+    assert (code, fields["witness"]) == (0, "baaabaaab")
+    expected = hashlib.sha256(fields["witness"].encode()).hexdigest()[:16]
+    assert fields["witness_digest"] == expected == "e2d36f62385a3fec"
+
+
+def test_shortest_loads_no_openssl(cerny4_file):
+    # hashlib's `_hashlib` loads OpenSSL's libcrypto, some 3.5 MiB of a
+    # process's memory; a fresh interpreter shows what the CLI alone loads
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no builtin SHA-256 module")
+    script = ("import sys\n"
+              "from syncwords.cli import main\n"
+              f"code = main(['shortest', {cerny4_file!r}, '--mode', 'classic'])\n"
+              "assert code == 0, code\n"
+              "assert '_hashlib' not in sys.modules\n")
+    src = str(Path(syncwords.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "witness_digest=e2d36f62385a3fec" in proc.stdout
