@@ -8,9 +8,10 @@ built from two pieces, and both work a whole BFS level at a time:
   letters), node-major and in declared alphabet order, with 0 where the
   careful rule forbids the letter.  A narrow level runs mask by mask:
   a bit loop over packed columns (one int per state holding its images
-  under all letters), or byte tables built from them.  A wide level is
-  byte-sliced: one `bytes.translate` pass over the whole level per pair
-  of input and output byte (the three paths are set out in `_images`);
+  under all letters), or byte tables built from them.  A wide level,
+  when every letter applies to every mask, is byte-sliced: one
+  `bytes.translate` pass over the whole level per pair of input and
+  output byte (the three paths are set out in `_images`);
 * the driver `_bfs(start, expand, goal, ...)`, one level-synchronized
   breadth-first search that returns the `SearchResult`.  It calls `goal`
   on `[start]` first, so a start that is a goal gives the empty word,
@@ -55,9 +56,9 @@ the others are not kept by shrinking a set (empty nfa images, D2,
 composition targets).
 `explored` counts every discovered set, pruned ones included, and
 `max_nodes` caps that count.  The three reset searches are memoized on
-(automaton, start mask, careful rule, budget, negative status), 128
-entries deep, so a search that a reduction, a sampler or a suite repeats
-while it is still cached is not made again; no other search is cached.
+(automaton, start mask, budget, negative status), 128 entries deep, so
+a search that a reduction, a sampler or a suite repeats while it is
+still cached is not made again; no other search is cached.
 
 The brute-force oracle shares neither piece on purpose, so that it stays
 an independent check of the kernel and the driver: it builds its own
@@ -219,18 +220,16 @@ def _byte_tables(packed: Sequence[int], nbytes: int) -> list[list[int]]:
     return tables
 
 
-def _slice_tables(tables: list[list[int]], defined: Sequence[int], careful: bool, n: int,
+def _slice_tables(tables: list[list[int]], k: int, n: int,
                   stride: int) -> list[list[tuple[int, bytes]]]:
     """For each byte i of a mask, the `bytes.translate` tables of wide
-    levels, cut from its byte table: (x * stride + o, T) for each letter x
-    and byte o that byte i's states reach under x, T[v] being byte o of the
-    x-image of byte value v; and under the careful rule, for k letters,
-    (k * stride + x, K) when x is undefined on a state of byte i, K[v] 0xFF
-    when v holds such a state, else 0."""
+    levels, cut from its byte table: (x * stride + o, T) for each of the k
+    letters x and byte o that byte i's states reach under x, T[v] being
+    byte o of the x-image of byte value v."""
     slices = []
-    for i, table in enumerate(tables):
+    for table in tables:
         sliced = []
-        for x, d in enumerate(defined):
+        for x in range(k):
             images = [u >> x * n & (1 << n) - 1 for u in table]
             rows = b"".join([u.to_bytes(stride, "little") for u in images])
             reach = images[-1]  # all of byte i's states
@@ -238,9 +237,6 @@ def _slice_tables(tables: list[list[int]], defined: Sequence[int], careful: bool
                 o = (reach.bit_length() - 1) >> 3
                 reach &= (1 << 8 * o) - 1
                 sliced.append((x * stride + o, rows[o::stride].ljust(256, b"\0")))
-            if careful and (off := ~d >> 8 * i & len(table) - 1):
-                sliced.append((len(defined) * stride + x,
-                               bytes(255 if v & off else 0 for v in range(256))))
         slices.append(sliced)
     return slices
 
@@ -265,21 +261,23 @@ def _images(a: Automaton, careful: bool) -> Expand:
     A level of fewer than 16 masks, and any level until `256 * nbytes`
     masks are expanded, runs one mask at a time: OR-ing the packed columns
     of t's states gives its images under all letters side by side, cut
-    into one mask per letter.  The bit loop ORs one column per set bit;
-    the byte tables (`_byte_tables`) one entry per byte of t, or index
-    them directly for one-byte masks.  A level uses the tables when it is
-    dense (twice its bit count over masks * nbytes) and the search has
-    expanded entries / nbytes masks, so that the tables (256 entries per
-    full byte, 2^r for a top byte of r states) cost no more than the bit
-    loops already run.
+    into one mask per letter, and the careful rule is checked per mask.
+    The bit loop ORs one column per set bit; the byte tables
+    (`_byte_tables`) one entry per byte of t.  A level uses the tables when
+    it is dense (twice its bit count over masks * nbytes) and the search
+    has expanded entries / nbytes masks, so that the tables (256 entries
+    per full byte, 2^r for a top byte of r states) cost no more than the
+    bit loops already run.
 
-    A wider level is byte-sliced, its per-mask work in C.  It is packed
-    `stride` bytes a mask: one machine word up to 64 states, by
+    A wider level is byte-sliced, its per-mask work in C, when every
+    letter applies to every mask: the careful rule is off or every letter
+    is total.  A kernel with a letter undefined somewhere under the
+    careful rule runs every level one mask at a time.  A sliced level is
+    packed `stride` bytes a mask: one machine word up to 64 states, by
     `array("Q", frontier)`, else nbytes, one `int.to_bytes` a mask.
     Column i, `data[i::stride]`, holds byte i of every mask; each
     `_slice_tables` table is one `translate` pass over a column, OR-ed in
-    as a big int (a zero column is skipped), and the careful tables'
-    marks clear the images the rule denies.  The images are written out
+    as a big int (a zero column is skipped).  The images are written out
     node-major and read back by `array("Q").tolist()`, or past 64 states
     by one `int.from_bytes` an image over `struct.iter_unpack`; `_little`
     orders the bytes of both `array` conversions.  The fixed cost of a
@@ -295,7 +293,8 @@ def _images(a: Automaton, careful: bool) -> Expand:
     k = len(defined)
     # (shift, mask of the states where the letter may be applied)
     letters = [(x * n, d if careful else full) for x, d in enumerate(defined)]
-    switch = 256 * nbytes
+    # the masks expanded before wide levels are sliced, if they ever are
+    switch = 256 * nbytes if all(d == full for _, d in letters) else inf
     stride = 8 if n <= 64 else nbytes  # a mask's bytes on a wide level
     entries = 256 * (n // 8) + (1 << n % 8 if n % 8 else 0)
     expanded = 0
@@ -313,17 +312,14 @@ def _images(a: Automaton, careful: bool) -> Expand:
                 tables = _byte_tables(packed, nbytes)
             flat = []
             for t in frontier:
+                u = 0
                 if not lookup:
-                    u = 0
                     m = t
                     while m:
                         b = m & -m
                         u |= packed[b.bit_length() - 1]
                         m ^= b
-                elif nbytes == 1:
-                    u = tables[0][t]
                 else:
-                    u = 0
                     for table, byte in zip(tables, t.to_bytes(nbytes, "little")):
                         u |= table[byte]
                 for shift, d in letters:
@@ -331,15 +327,13 @@ def _images(a: Automaton, careful: bool) -> Expand:
             return flat
         if slices is None:
             tables = tables or _byte_tables(packed, nbytes)
-            slices = _slice_tables(tables, defined, careful, n, stride)
+            slices = _slice_tables(tables, k, n, stride)
         from array import array  # as in `_bfs`: only wide searches load it
         if n <= 64:
             data = _little(array("Q", frontier)).tobytes()
         else:
             data = b"".join(map(int.to_bytes, frontier, repeat(stride), repeat("little")))
-        # acc[x * stride + o]: byte o of every x-image, one byte a mask; then
-        # acc[k * stride + x]: 0xFF for every mask the careful rule denies x
-        acc = [0] * (k * stride + k)
+        acc = [0] * (k * stride)  # acc[x * stride + o]: byte o of every x-image
         zero = bytes(width)
         for i, sliced in enumerate(slices):
             column = data[i::stride]  # byte i of every mask
@@ -348,8 +342,8 @@ def _images(a: Automaton, careful: bool) -> Expand:
                     acc[slot] |= int.from_bytes(column.translate(table), "little")
         # byte o of mask j's x-image goes to out[(j * k + x) * stride + o]
         out = bytearray(width * k * stride)
-        for slot in range(k * stride):
-            if u := acc[slot] & ~acc[k * stride + slot // stride]:
+        for slot, u in enumerate(acc):
+            if u:
                 out[slot::k * stride] = u.to_bytes(width, "little")
         del data, acc  # freed before the images are made
         if n <= 64:
@@ -533,10 +527,13 @@ def _pair_goal(n: int) -> Goal:
 
 
 @lru_cache(maxsize=128)
-def _reset_search(a: Automaton, start: int, careful: bool,
-                  budget: Optional[SearchBudget], negative: str) -> SearchResult:
+def _reset_search(a: Automaton, start: int, budget: Optional[SearchBudget],
+                  negative: str) -> SearchResult:
     """The classic, careful and subset searches from mask `start`, pruned
-    by pair dominance (see the module docstring).
+    by pair dominance (see the module docstring).  All three take the
+    careful rule: on a dfa, the only automaton of a classic search, every
+    letter is total and the rule allows them all, so a dfa's classic and
+    careful searches are one search.
 
     A set of three or more states is discovered, counted in `explored`
     and capped by `max_nodes`, but not expanded when it contains a pair
@@ -551,7 +548,7 @@ def _reset_search(a: Automaton, start: int, careful: bool,
     object.  A budget stop is cached too; it decides nothing, and
     `decided` raises on it every time.
     """
-    return _bfs(start, _images(a, careful), _pair_goal(a.n), budget,
+    return _bfs(start, _images(a, True), _pair_goal(a.n), budget,
                 _node_bytes(a.n), negative, a.n)
 
 
@@ -559,7 +556,7 @@ def shortest_reset(a: Automaton, budget: Optional[SearchBudget] = None) -> Searc
     """Shortest word merging all states of a dfa into one."""
     if a.kind != DFA:
         raise ValueError("shortest_reset requires a dfa")
-    return _reset_search(a, (1 << a.n) - 1, False, budget, NOT_SYNCHRONIZING)
+    return _reset_search(a, (1 << a.n) - 1, budget, NOT_SYNCHRONIZING)
 
 
 def shortest_careful_reset(a: Automaton,
@@ -567,7 +564,7 @@ def shortest_careful_reset(a: Automaton,
     """Shortest careful reset word of the full state set of a dfa/pfa."""
     if a.kind not in (DFA, PFA):
         raise ValueError("shortest_careful_reset requires a dfa or pfa")
-    return _reset_search(a, (1 << a.n) - 1, True, budget, NOT_SYNCHRONIZING)
+    return _reset_search(a, (1 << a.n) - 1, budget, NOT_SYNCHRONIZING)
 
 
 def shortest_subset_reset(a: Automaton, subset: Iterable[int],
@@ -575,7 +572,7 @@ def shortest_subset_reset(a: Automaton, subset: Iterable[int],
     """Shortest careful reset word of a subset (plain reset word for dfa)."""
     if a.kind not in (DFA, PFA):
         raise ValueError("subset search requires a dfa or pfa; use directing_word for nfa")
-    return _reset_search(a, _subset_mask(a, subset), True, budget, BLIND)
+    return _reset_search(a, _subset_mask(a, subset), budget, BLIND)
 
 
 def is_blind(a: Automaton, subset: Iterable[int],

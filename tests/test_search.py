@@ -68,13 +68,17 @@ def test_image_kernel_matches_delta(sample, n, k, careful, rng):
     # tables when it is dense (twice its bit count over masks * nbytes) and
     # the masks expanded before it reach the tables' entries / nbytes, else
     # on the bit loop.  A wider level runs on the bit loop until 256 *
-    # nbytes masks are expanded, then byte-sliced.  The examples index
-    # one-byte masks directly (n = 1, 5, 8), pack and unpack masks of one
-    # machine word (n = 9, 63, 64) and wider ones (65, 70, 100, 130), and
-    # cover nfa cells that cross bytes and careful tables in two bytes
+    # nbytes masks are expanded, then byte-sliced, unless the careful rule
+    # meets a letter undefined on some state: such a kernel runs every
+    # level one mask at a time, so it builds the byte tables for its dense
+    # narrow levels but never slices.  The examples take one-byte masks
+    # (n = 1, 5, 8), pack and unpack masks of one machine word (n = 9, 63,
+    # 64) and wider ones (65, 70, 100, 130), and cover nfa cells that
+    # cross bytes and careful letters undefined in two bytes
     a = sample(rng, n, k)
     nbytes = (n + 7) // 8
     full = (1 << n) - 1
+    partial = careful and not all(cell for row in a.delta for cell in row)
 
     def images_of(t):
         cells = [a.delta[s] for s in range(n) if t >> s & 1]
@@ -95,23 +99,25 @@ def test_image_kernel_matches_delta(sample, n, k, careful, rng):
     narrow_dense = [full] + [rng.getrandbits(n) | 1 for _ in range(14)]
     narrow_sparse = [0, 1 << n - 1] * 7
     assert dense(narrow_dense) and not dense(narrow_sparse)
-    # (kernel, level, byte tables and slice tables built after it)
-    steps = [(0, [], 0, 0),
-             (0, narrow_dense, 0, 0),  # no mask expanded yet: the bit loop
-             (0, wide, 0, 0),  # under the switch: the bit loop
-             (0, narrow_sparse, 0, 0),  # past it, but sparse: the bit loop
-             (0, narrow_dense, 1, 0),  # the byte tables, one mask at a time
-             (0, wide, 1, 1),  # byte-sliced
-             (0, narrow_dense[:1], 1, 1),
-             (0, wide, 1, 1),  # the slice tables are built once
-             (1, wide, 1, 1),
-             (1, wide, 2, 2)]  # byte-sliced: the slices are cut from byte tables
+    # (kernel, level, byte tables and slice tables built after it, and the
+    # byte tables built after it with a partial careful letter)
+    steps = [(0, [], 0, 0, 0),
+             (0, narrow_dense, 0, 0, 0),  # no mask expanded yet: the bit loop
+             (0, wide, 0, 0, 0),  # under the switch: the bit loop
+             (0, narrow_sparse, 0, 0, 0),  # past it, but sparse: the bit loop
+             (0, narrow_dense, 1, 0, 1),  # the byte tables, one mask at a time
+             (0, wide, 1, 1, 1),  # byte-sliced, or partial: the bit loop
+             (0, narrow_dense[:1], 1, 1, 1),
+             (0, wide, 1, 1, 1),  # the slice tables are built once
+             (1, wide, 1, 1, 1),
+             (1, wide, 2, 2, 1)]  # byte-sliced: the slices are cut from byte tables
     with mock.patch.object(search, "_byte_tables", wraps=search._byte_tables) as tables, \
             mock.patch.object(search, "_slice_tables", wraps=search._slice_tables) as slices:
         kernels = [_images(a, careful), _images(a, careful)]
-        for kernel, level, built, sliced in steps:
+        for kernel, level, built, sliced, built_partial in steps:
             assert kernels[kernel](level) == images(level)
-            assert (tables.call_count, slices.call_count) == (built, sliced)
+            expected = (built_partial, 0) if partial else (built, sliced)
+            assert (tables.call_count, slices.call_count) == expected
 
 
 def test_one_state_reset_is_empty():
@@ -306,20 +312,39 @@ def test_cerny_18_is_pinned():
     assert (res.length, res.explored, res.witness) == (289, 262_126, _cerny_word(18))
 
 
-def test_wide_search_past_64_states_is_pinned():
-    # Cerny 14, with a third letter undefined on its state 0 and the
-    # identity elsewhere, on 14 of 100 states spread over 9 bytes; the
-    # other states have no transitions, so every byte gets careful tables.
-    # Its masks are wider than a machine word, and most levels are
-    # byte-sliced
+def _cerny_14_in_100_states(partial):
+    """Cerny 14 on 14 of 100 states spread over 9 bytes, and the states
+    the search starts from.  The other states loop on every letter, or
+    with `partial` have no transitions, and a third letter is undefined
+    on Cerny's state 0 and the identity elsewhere."""
     spots = sorted(random.Random(1).sample(range(100), 14))
-    table = [[None] * 3 for _ in range(100)]
+    table = [[None] * 3 if partial else [s, s] for s in range(100)]
     for s, row in enumerate(cerny(14).automaton.delta):
-        table[spots[s]] = [spots[next(iter(cell))] for cell in row] + [None if s == 0 else spots[s]]
+        table[spots[s]] = [spots[next(iter(cell))] for cell in row]
+        if partial:
+            table[spots[s]].append(None if s == 0 else spots[s])
+    return (pfa_from_table(table, "abc") if partial else dfa_from_table(table, "ab")), spots
+
+
+def test_wide_search_past_64_states_is_pinned():
+    # every letter is total, so the search is byte-sliced: its masks are
+    # wider than a machine word, and most levels are sliced
+    a, spots = _cerny_14_in_100_states(partial=False)
     search._reset_search.cache_clear()  # measure a search, not a cache hit
     with mock.patch.object(search, "_slice_tables", wraps=search._slice_tables) as slices:
-        res = shortest_subset_reset(pfa_from_table(table, "abc"), spots)
+        res = shortest_subset_reset(a, spots)
     assert slices.call_count == 1
+    assert (res.length, res.explored, res.witness) == (169, 16370, CERNY_14_WITNESS)
+
+
+def test_wide_careful_search_with_a_partial_letter_is_never_sliced():
+    # the careful rule meets letters undefined on every byte's states, so
+    # every level runs one mask at a time, and the answer does not change
+    a, spots = _cerny_14_in_100_states(partial=True)
+    search._reset_search.cache_clear()  # measure a search, not a cache hit
+    with mock.patch.object(search, "_slice_tables", wraps=search._slice_tables) as slices:
+        res = shortest_subset_reset(a, spots)
+    assert slices.call_count == 0
     assert (res.length, res.explored, res.witness) == (169, 16370, CERNY_14_WITNESS)
 
 
@@ -382,6 +407,92 @@ def test_pair_pruning_keeps_reset_answers(sample, n, k, rng):
         status, length, witness, explored = _unpruned(a, start, True)
         assert (res.status, res.length, res.witness) == (status or negative, length, witness)
         assert res.explored <= explored
+
+
+def _power_set_oracle(a):
+    """The shortest careful reset words of a dfa/pfa from exact distances
+    over the whole power set; shares no code with the engine's kernel,
+    driver or word oracle.  `answer(start, negative)` gives (status,
+    length, witness) for mask `start`.
+
+    img[x][t], the x-image of t, comes from img[x][t ^ b] | col[x][b] with
+    b the lowest bit of t, and is 0 where x is undefined on a state of t.
+    One BFS runs back from the singletons along the edges out of sets of
+    two or more states, so dist[t] is t's exact careful reset length, -1
+    when t is blind.  Taking from t the least letter that lowers the
+    distance by one spells the lex-least shortest word."""
+    n, k = a.n, len(a.alphabet)
+    size = 1 << n
+    img = []
+    for x in range(k):
+        col = [sum(1 << q for q in a.delta[s][x]) for s in range(n)]
+        undefined = sum(1 << s for s in range(n) if not a.delta[s][x])
+        images = [0] * size
+        for t in range(1, size):
+            b = t & -t
+            images[t] = images[t ^ b] | col[b.bit_length() - 1]
+        img.append([0 if t & undefined else u for t, u in enumerate(images)])
+    preds = [[] for _ in range(size)]
+    for t in range(size):
+        if t & (t - 1):  # two or more states
+            for x in range(k):
+                if img[x][t]:
+                    preds[img[x][t]].append(t)
+    dist = [-1] * size
+    queue = [1 << s for s in range(n)]
+    for t in queue:
+        dist[t] = 0
+    for t in queue:  # grows as it is read: a breadth-first search
+        for p in preds[t]:
+            if dist[p] < 0:
+                dist[p] = dist[t] + 1
+                queue.append(p)
+
+    def answer(start, negative):
+        if dist[start] < 0:
+            return negative, None, None
+        word = []
+        t = start
+        while dist[t]:
+            x = next(x for x in range(k) if img[x][t] and dist[img[x][t]] == dist[t] - 1)
+            word.append(x)
+            t = img[x][t]
+        return FOUND, len(word), tuple(word)
+
+    return answer
+
+
+def _engine_answer(res):
+    return res.status, res.length, res.witness
+
+
+def test_power_set_distances_agree_on_wide_careful_levels():
+    # Cerny 13 with a letter undefined on one state: its careful searches
+    # have wide levels, which run one mask at a time
+    a = _cerny_with_partial_letter(13)
+    answer = _power_set_oracle(a)
+    assert (_engine_answer(shortest_careful_reset(a))
+            == answer((1 << a.n) - 1, NOT_SYNCHRONIZING))
+    rng = random.Random(13)
+    for _ in range(20):
+        subset = random_subset(rng, a.n)
+        assert (_engine_answer(shortest_subset_reset(a, subset))
+                == answer(mask_of(subset), BLIND)), sorted(subset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([random_dfa, random_pfa]), st.integers(1, 7),
+       st.integers(1, 3), st.randoms(use_true_random=False))
+def test_power_set_distances_agree_on_every_subset(sample, n, k, rng):
+    a = sample(rng, n, k)
+    answer = _power_set_oracle(a)
+    full = (1 << n) - 1
+    assert _engine_answer(shortest_careful_reset(a)) == answer(full, NOT_SYNCHRONIZING)
+    if a.kind == "dfa":
+        assert _engine_answer(shortest_reset(a)) == answer(full, NOT_SYNCHRONIZING)
+    for start in range(1, full + 1):
+        subset = [s for s in range(n) if start >> s & 1]
+        assert _engine_answer(shortest_subset_reset(a, subset)) == answer(start, BLIND), subset
 
 
 def test_careful_requires_total_letter():
@@ -506,17 +617,20 @@ def test_equal_automata_share_one_cached_search():
 
 
 def test_a_different_budget_or_mode_is_a_different_search():
+    # a dfa's classic and careful searches are one search, since every
+    # letter is total; the subset of all states is another, because its
+    # negative is BLIND, not NOT_SYNCHRONIZING
     a = cerny(5).automaton
     info = search._reset_search.cache_info
     search._reset_search.cache_clear()
     classic = shortest_reset(a)
     others = (shortest_reset(a, SearchBudget(max_nodes=1000)),
-              shortest_careful_reset(a),
-              shortest_subset_reset(a, a.states))  # negative BLIND, not NOT_SYNCHRONIZING
-    assert (info().misses, info().hits) == (4, 0)
+              shortest_subset_reset(a, a.states))
+    assert (info().misses, info().hits) == (3, 0)
     assert all(res == classic and res is not classic for res in others)
+    assert shortest_careful_reset(a) is classic
     assert shortest_reset(a) is classic
-    assert (info().misses, info().hits) == (4, 1)
+    assert (info().misses, info().hits) == (3, 2)
 
 
 def test_a_cached_budget_stop_still_decides_nothing():
