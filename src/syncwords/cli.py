@@ -9,7 +9,6 @@ Exit codes: 0 success / property holds, 1 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -128,6 +127,7 @@ def _emit(report: dict, fmt: str) -> None:
     elif fmt == "csv":
         rows = report.get("rows") or report["results"]
         if rows:
+            import csv  # as `_bfs` imports `array`: no other format loads it
             buf = io.StringIO()
             # the union of the rows' columns, in order of first appearance
             fields = list(dict.fromkeys(k for row in rows for k in row))

@@ -58,7 +58,7 @@ composition targets).
 `max_nodes` caps that count.  The three reset searches are memoized on
 (automaton, start mask, budget, negative status), 128 entries deep, so
 a search that a reduction, a sampler or a suite repeats while it is
-still cached is not made again; no other search is cached.
+still cached is not made again; no other engine search is cached.
 
 The brute-force oracle shares neither piece on purpose, so that it stays
 an independent check of the kernel and the driver: it builds its own
@@ -66,7 +66,11 @@ successor columns from the transition table and runs its own level loop,
 one for all six modes.  It numbers each distinct mask or node and lists
 each level as one number per word, so it memoizes per node but still
 generates, tests and counts every word up to its length bound, merging
-none (see `brute_force_oracle`).
+none.  The three directing modes share one word tree, so one run of the
+loop tests every word in all three and answers them together; those
+answers are memoized on (automaton, length bound), 128 entries deep, and
+the classic, careful and subset modes run one at a time (see
+`brute_force_oracle`).
 
 The "careful" applicability rule (a letter may be applied to an active
 set only if it is defined on every active state) is used for pfa in all
@@ -102,6 +106,7 @@ D1 = "d1"
 D2 = "d2"
 D3 = "d3"
 MODES = (CLASSIC, CAREFUL, SUBSET, D1, D2, D3)
+_DIRECTING = (D1, D2, D3)
 
 
 class BudgetExceededError(RuntimeError):
@@ -133,7 +138,10 @@ class SearchResult:
     """A search's answer: `status`, and for FOUND the word's `length` and
     `witness`; `explored` counts the nodes discovered.  `elapsed` is the
     time of the search that produced the result: a reset search's result
-    is cached (see `_reset_search`), and a cached result keeps that time."""
+    is cached (see `_reset_search`), and a cached result keeps that time.
+    The oracle's d1, d2 and d3 answers come from one shared enumeration
+    and are cached together (see `brute_force_oracle`); all three keep
+    that enumeration's `elapsed`."""
     status: str
     length: Optional[int] = None
     witness: Optional[Word] = None
@@ -869,34 +877,64 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
     empty word hits).  Status not_synchronizing means "no hit within
     max_len".
 
+    The three directing modes share one word tree: no letter is forbidden
+    and no word ends.  So one enumeration answers all three, and
+    `_directing_oracle` memoizes the three answers on (automaton,
+    max_len).  A d1 word also directs in the senses d2 and d3, so that
+    enumeration runs until d1 is decided: a lone d2 or d3 call goes on
+    past its own hit, up to the first d1 hit or to max_len.  Each answer,
+    `explored` included, is the one a run of its mode alone would give.
+    The classic, careful and subset modes run one at a time.  See
+    `_word_levels` for the level loop they all share.
+    """
+    _check_mode(mode, subset)
+    if max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
+    if mode in _DIRECTING:
+        return _directing_oracle(a, max_len)[_DIRECTING.index(mode)]
+    return _word_levels(a, subset, (mode,), max_len)[0]
+
+
+@lru_cache(maxsize=128)
+def _directing_oracle(a: Automaton, max_len: int) -> tuple[SearchResult, ...]:
+    """The oracle's d1, d2 and d3 answers from one enumeration, memoized
+    as `_reset_search` is; the three keep that enumeration's `elapsed`."""
+    return _word_levels(a, None, _DIRECTING, max_len)
+
+
+def _word_levels(a: Automaton, subset: Optional[Iterable[int]], modes: Sequence[str],
+                 max_len: int) -> tuple[SearchResult, ...]:
+    """The oracle's level loop: the answers of `modes`, which share a word
+    tree, from one enumeration of it.  `modes` is one of the classic,
+    careful and subset modes, or `_DIRECTING`.
+
     The oracle shares no table or search code with the engine.  Images
     come from one `Memo` per letter over a successor column built from
-    `a.delta`, and one level loop serves all six modes.  Each distinct
-    node (a mask, or in the directing modes the tuple of per-start
-    images) is numbered and tested once, when it is first met; number 0
+    `a.delta`.  Each distinct node (a mask, or in the directing modes the
+    tuple of per-start images) is numbered once, when it is first met,
+    and then gets its go-on flag and one hit flag per mode; number 0
     stands for a letter the careful rule forbids.  One `Memo` per letter
     maps a node's number to its successor's.  A level lists one number
     per word, k per word of the level before, built a letter at a time
     through `map`s, so every word is still generated, tested and counted;
     the memos cache pure functions of a node and merge no words.  The
     next level keeps the words that go on, and every level's list is
-    kept, so the hit's word is spelled back through the positions of the
-    kept words.  `numbered` records when it numbers a hit node, and only
-    then is the level scanned for its first hit: nodes are numbered only
-    while a level is built, so that level is the first that can hold a
-    hit, and every earlier level is counted whole.
+    kept, so a hit's word is spelled back through the positions of the
+    kept words.  `numbered` records when it numbers a hit node of a mode,
+    and only then is the level scanned for that mode's first hit: nodes
+    are numbered only while a level is built, so that level is the first
+    that can hold a hit, and every earlier level is counted whole.  The
+    loop ends when every mode is decided, or after max_len.
     """
-    _check_mode(mode, subset)
-    if max_len < 0:
-        raise ValueError(f"max_len must be nonnegative, got {max_len}")
     t0 = time.perf_counter()
     n = a.n
     k = len(a.alphabet)
     images = [Memo(partial(_column_image, [mask_of(a.delta[s][x]) for s in a.states]))
               .__getitem__ for x in range(k)]
-    directing = mode in (D1, D2, D3)
+    directing = modes[0] in _DIRECTING
 
     if not directing:
+        mode, = modes
         start = _subset_mask(a, subset) if mode == SUBSET else (1 << n) - 1
         careful = mode != CLASSIC or a.kind == PFA
         # every letter is allowed on t when t & defined == t; -1 allows all
@@ -911,44 +949,47 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
 
         def goes_on(t: int) -> bool:
             return t & (t - 1) != 0  # two or more states
+
+        tests = [hit]
     else:
         start = tuple(1 << s for s in range(n))
 
         def successor(x: int, node: tuple[int, ...]) -> tuple[int, ...]:
             return tuple(map(images[x], node))
 
-        if mode == D1:
-            def hit(node: tuple[int, ...]) -> bool:
-                return node[0].bit_count() == 1 and node.count(node[0]) == n
-        elif mode == D2:
-            def hit(node: tuple[int, ...]) -> bool:
-                return node.count(node[0]) == n
-        else:
-            def hit(node: tuple[int, ...]) -> bool:
-                return reduce(and_, node) != 0
+        def d1(node: tuple[int, ...]) -> bool:
+            return node[0].bit_count() == 1 and node.count(node[0]) == n
+
+        def d2(node: tuple[int, ...]) -> bool:
+            return node.count(node[0]) == n
+
+        def d3(node: tuple[int, ...]) -> bool:
+            return reduce(and_, node) != 0
 
         def goes_on(node: tuple[int, ...]) -> bool:
             return True
 
-    if hit(start):
-        return SearchResult(FOUND, 0, (), 1, time.perf_counter() - t0)
-    # node number -> node, hit flag and go-on flag; node -> number; the
-    # forbidden successor None is number 0
+        tests = [d1, d2, d3]  # the order of _DIRECTING
+
+    # per mode, (status, length, witness, explored) once decided
+    answers: list = [(FOUND, 0, (), 1) if test(start) else None for test in tests]
+    # node number -> node, go-on flag and per mode a hit flag; node ->
+    # number; the forbidden successor None is number 0
     nodes: list = [None]
-    hits = [False]
     kept = [False]
+    hits = [[False] for _ in tests]
     number: dict = {None: 0}
-    hit_numbered = False
+    hit_numbered = [False] * len(tests)
 
     def numbered(node) -> int:
-        nonlocal hit_numbered
         j = number.get(node)
         if j is None:
             j = number[node] = len(nodes)
             nodes.append(node)
-            hits.append(hit(node))
             kept.append(goes_on(node))
-            hit_numbered = hit_numbered or hits[-1]
+            for m, test in enumerate(tests):
+                hits[m].append(test(node))
+                hit_numbered[m] |= hits[m][-1]
         return j
 
     # per letter, a node's number -> its successor's number
@@ -957,28 +998,32 @@ def brute_force_oracle(a: Automaton, subset: Optional[Iterable[int]], mode: str,
     level = [numbered(start)]
     levels = []  # per length, one number per word
     explored = 0
-    for depth in range(1, max_len + 1):
+    # no level at all when the empty word decides every mode
+    for depth in range(1, max_len + 1 if None in answers else 1):
         nxt = [0] * (len(level) * k)
         for x, step in enumerate(steps):
             nxt[x::k] = map(step, level)
         levels.append(nxt)
-        if hit_numbered:  # numbered while building nxt, so nxt holds it
-            i = next(compress(count(), map(hits.__getitem__, nxt)))
-            explored += i + 1 - nxt[:i + 1].count(0)
-            # word i of a level extends kept word i // k of the level before
-            word = [i % k]
-            for prev in reversed(levels[:-1]):
-                i = next(islice(compress(count(), map(kept.__getitem__, prev)), i // k, None))
-                word.append(i % k)
-            return SearchResult(FOUND, depth, tuple(reversed(word)), explored,
-                                time.perf_counter() - t0)
+        for m, flags in enumerate(hits):
+            if answers[m] is None and hit_numbered[m]:  # numbered while building nxt
+                i = next(compress(count(), map(flags.__getitem__, nxt)))
+                found = explored + i + 1 - nxt[:i + 1].count(0)
+                # word i of a level extends kept word i // k of the level before
+                word = [i % k]
+                for prev in reversed(levels[:-1]):
+                    i = next(islice(compress(count(), map(kept.__getitem__, prev)), i // k, None))
+                    word.append(i % k)
+                answers[m] = (FOUND, depth, tuple(reversed(word)), found)
+        if None not in answers:
+            break
         explored += len(nxt)
         level = nxt  # the directing modes forbid no letter and end no word
         if not directing:
             explored -= nxt.count(0)
             level = list(compress(nxt, map(kept.__getitem__, nxt)))
-    return SearchResult(NOT_SYNCHRONIZING, explored=explored,
-                        elapsed=time.perf_counter() - t0)
+    elapsed = time.perf_counter() - t0
+    return tuple(SearchResult(*(answer or (NOT_SYNCHRONIZING, None, None, explored)), elapsed)
+                 for answer in answers)
 
 
 # --- composition depth over transformation semigroups ------------------------

@@ -490,15 +490,34 @@ def test_shortest_loads_no_openssl(cerny4_file):
     # process's memory; a fresh interpreter shows what the CLI alone loads
     if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
         pytest.skip("this interpreter has no builtin SHA-256 module")
-    script = ("import sys\n"
-              "from syncwords.cli import main\n"
-              f"code = main(['shortest', {cerny4_file!r}, '--mode', 'classic'])\n"
-              "assert code == 0, code\n"
-              "assert '_hashlib' not in sys.modules\n")
+    proc = _fresh_interpreter("import sys\n"
+                              "from syncwords.cli import main\n"
+                              f"code = main(['shortest', {cerny4_file!r}, '--mode', 'classic'])\n"
+                              "assert code == 0, code\n"
+                              "assert '_hashlib' not in sys.modules\n")
+    assert "witness_digest=e2d36f62385a3fec" in proc.stdout
+
+
+def test_only_csv_reports_load_csv(cerny4_file):
+    proc = _fresh_interpreter("import sys\n"
+                              "from syncwords.cli import main\n"
+                              "loaded = []\n"
+                              "for fmt in ('text', 'json', 'csv'):\n"
+                              f"    code = main(['shortest', {cerny4_file!r}, '--mode', 'classic',\n"
+                              "                 '--format', fmt])\n"
+                              "    assert code == 0, code\n"
+                              "    loaded.append('csv' in sys.modules)\n"
+                              "print(loaded)\n")
+    assert proc.stdout.splitlines()[-1] == "[False, False, True]"
+
+
+def _fresh_interpreter(script):
+    """Run `script` in a new interpreter that imports this checkout's
+    package, so that `sys.modules` shows what the CLI alone loads."""
     src = str(Path(syncwords.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert "witness_digest=e2d36f62385a3fec" in proc.stdout
+    return proc

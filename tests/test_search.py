@@ -393,9 +393,11 @@ def test_wide_search_memory_stays_small():
 @given(st.sampled_from([random_dfa, random_pfa]), st.integers(1, 9),
        st.integers(1, 3), st.randoms(use_true_random=False))
 def test_pair_pruning_keeps_reset_answers(sample, n, k, rng):
-    # classic, careful and subset searches against the unpruned driver,
-    # blind and non-synchronizing instances included
+    # classic, careful and subset searches against the power-set distances,
+    # blind and non-synchronizing instances included; pruning only lowers
+    # `explored` below the unpruned driver's
     a = sample(rng, n, k)
+    answer = _power_set_oracle(a)
     full = (1 << n) - 1
     cases = [(shortest_careful_reset(a), full, NOT_SYNCHRONIZING)]
     if a.kind == "dfa":
@@ -404,9 +406,8 @@ def test_pair_pruning_keeps_reset_answers(sample, n, k, rng):
         subset = random_subset(rng, n)
         cases.append((shortest_subset_reset(a, subset), mask_of(subset), BLIND))
     for res, start, negative in cases:
-        status, length, witness, explored = _unpruned(a, start, True)
-        assert (res.status, res.length, res.witness) == (status or negative, length, witness)
-        assert res.explored <= explored
+        assert _engine_answer(res) == answer(start, negative)
+        assert res.explored <= _unpruned(a, start, True)[3]
 
 
 def _power_set_oracle(a):
@@ -464,6 +465,20 @@ def _power_set_oracle(a):
 
 def _engine_answer(res):
     return res.status, res.length, res.witness
+
+
+def test_power_set_distances_agree_on_every_subset_of_cerny_10():
+    # 1,023 subset searches, the longest word 81 letters: pair pruning on
+    # words far longer than the brute-force oracle reaches
+    a = cerny(10).automaton
+    answer = _power_set_oracle(a)
+    lengths = set()
+    for start in range(1, 1 << a.n):
+        subset = [s for s in range(a.n) if start >> s & 1]
+        res = shortest_subset_reset(a, subset)
+        assert _engine_answer(res) == answer(start, BLIND), subset
+        lengths.add(res.length)
+    assert max(lengths) == 81
 
 
 def test_power_set_distances_agree_on_wide_careful_levels():
@@ -1000,7 +1015,9 @@ _NFA_ONE = nfa_from_sets([[{0}]], "a")
 # (automaton, subset, mode, max_len) -> (status, length, witness, explored);
 # the careful pfa cases skip prefixes (226 words tested, not the 363 of all
 # shorter words), d1 on _NFA3 tests all 3 + 9 + ... + 729 words, and d1 on
-# _NFA_D1 hits at index 150 of its 243 words of length 5 (3 + ... + 81 + 151)
+# _NFA_D1 hits at index 150 of its 243 words of length 5 (3 + ... + 81 + 151);
+# at max_len 4 d1 stays undecided on both _NFA_D1 and _NFA_D3_NONE, while
+# d2 hits on an earlier level or on the last one
 ORACLE_PINS = [
     ((cerny(4).automaton, None, "classic", 10), (FOUND, 9, (1, 0, 0, 0, 1, 0, 0, 0, 1), 784)),
     ((cerny(4).automaton, None, "classic", 8), (NOT_SYNCHRONIZING, None, None, 510)),
@@ -1010,9 +1027,19 @@ ORACLE_PINS = [
     ((_NFA3, None, "d2", 6), (FOUND, 4, (0, 1, 1, 0), 52)),
     ((_NFA3, None, "d3", 6), (FOUND, 3, (0, 1, 0), 16)),
     ((_NFA_D1, None, "d1", 6), (FOUND, 5, (1, 2, 1, 2, 0), 271)),
+    ((_NFA_D1, None, "d2", 6), (FOUND, 3, (2, 2, 0), 37)),
+    ((_NFA_D1, None, "d3", 6), (FOUND, 2, (1, 0), 7)),
+    ((_NFA_D1, None, "d1", 4), (NOT_SYNCHRONIZING, None, None, 120)),
+    ((_NFA_D1, None, "d2", 4), (FOUND, 3, (2, 2, 0), 37)),
+    ((_NFA_D1, None, "d3", 4), (FOUND, 2, (1, 0), 7)),
     ((_PFA_BLIND, None, "careful", 5), (NOT_SYNCHRONIZING, None, None, 62)),
     ((_PFA_BLIND, {0, 1}, "subset", 5), (NOT_SYNCHRONIZING, None, None, 135)),
+    ((_NFA_D3_NONE, None, "d1", 6), (NOT_SYNCHRONIZING, None, None, 126)),
+    ((_NFA_D3_NONE, None, "d2", 6), (FOUND, 4, (0, 0, 1, 1), 18)),
     ((_NFA_D3_NONE, None, "d3", 6), (NOT_SYNCHRONIZING, None, None, 126)),
+    ((_NFA_D3_NONE, None, "d1", 4), (NOT_SYNCHRONIZING, None, None, 30)),
+    ((_NFA_D3_NONE, None, "d2", 4), (FOUND, 4, (0, 0, 1, 1), 18)),
+    ((_NFA_D3_NONE, None, "d3", 4), (NOT_SYNCHRONIZING, None, None, 30)),
     ((_PFA_LATE, None, "careful", 10), (FOUND, 6, (2, 0, 1, 0, 0, 2), 42)),
     ((_NFA_EMPTIES, None, "classic", 4), (NOT_SYNCHRONIZING, None, None, 8)),
     ((cerny(4).automaton, None, "classic", 0), (NOT_SYNCHRONIZING, None, None, 0)),
@@ -1027,7 +1054,22 @@ def _oracle_answers():
 
 
 def test_oracle_counts_are_pinned():
+    search._directing_oracle.cache_clear()  # enumerate, not read an earlier test's answer
     assert _oracle_answers() == [pin for _, pin in ORACLE_PINS]
+
+
+def test_one_enumeration_answers_all_three_directing_modes():
+    # the first call enumerates until d1 is decided; the others read its
+    # answers, each the one a run of its mode alone would give
+    search._directing_oracle.cache_clear()
+    with mock.patch.object(search, "_word_levels", wraps=search._word_levels) as levels:
+        answers = [brute_force_oracle(_NFA_D1, None, mode, 6) for mode in (D3, D2, D1)]
+        again = brute_force_oracle(_NFA_D1, None, D2, 6)
+    assert levels.call_count == 1
+    assert [(r.length, r.witness, r.explored) for r in answers] == \
+        [(2, (1, 0), 7), (3, (2, 2, 0), 37), (5, (1, 2, 1, 2, 0), 271)]
+    assert again is answers[1]
+    assert len({r.elapsed for r in answers}) == 1  # the shared enumeration's time
 
 
 def test_oracle_is_independent_of_the_engine(monkeypatch):
@@ -1037,6 +1079,7 @@ def test_oracle_is_independent_of_the_engine(monkeypatch):
     for name in ("transition_masks", "_images", "_bfs", "directing_word", "_first_hit",
                  "_reset_search", "_pair_goal", "_byte_tables", "_slice_tables"):
         monkeypatch.setattr(search, name, broken)
+    search._directing_oracle.cache_clear()  # enumerate, not read an earlier test's answer
     assert _oracle_answers() == [pin for _, pin in ORACLE_PINS]
 
 
