@@ -64,9 +64,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def __iter__(self):
-        return iter(self.symbols)
-
     def index(self, token: str) -> int:
         try:
             return self.symbols.index(token)

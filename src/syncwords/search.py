@@ -85,8 +85,7 @@ from functools import lru_cache, partial, reduce
 from itertools import chain, compress, count, islice, repeat
 from math import inf
 from operator import and_, itemgetter, mul, not_
-from struct import iter_unpack
-from sys import byteorder
+from struct import iter_unpack, pack, unpack
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .automata import DFA, PFA, Automaton, Memo, StateSet, Word, restrict
@@ -249,15 +248,6 @@ def _slice_tables(tables: list[list[int]], k: int, n: int,
     return slices
 
 
-def _little(words):
-    """An `array("Q")` in little-endian byte order, swapped in place on a
-    big-endian host; swapping is its own inverse, so it both packs and
-    unpacks (an untested branch: no big-endian host has run it)."""
-    if byteorder == "big":
-        words.byteswap()
-    return words
-
-
 Expand = Callable[[list], list]
 
 
@@ -281,15 +271,15 @@ def _images(a: Automaton, careful: bool) -> Expand:
     letter applies to every mask: the careful rule is off or every letter
     is total.  A kernel with a letter undefined somewhere under the
     careful rule runs every level one mask at a time.  A sliced level is
-    packed `stride` bytes a mask: one machine word up to 64 states, by
-    `array("Q", frontier)`, else nbytes, one `int.to_bytes` a mask.
-    Column i, `data[i::stride]`, holds byte i of every mask; each
-    `_slice_tables` table is one `translate` pass over a column, OR-ed in
-    as a big int (a zero column is skipped).  The images are written out
-    node-major and read back by `array("Q").tolist()`, or past 64 states
-    by one `int.from_bytes` an image over `struct.iter_unpack`; `_little`
-    orders the bytes of both `array` conversions.  The fixed cost of a
-    level grows with the tables: the per-mask paths are faster up to
+    packed `stride` bytes a mask, little-endian on every host: one
+    machine word up to 64 states, by one `struct.pack("<{width}Q")`, else
+    nbytes, one `int.to_bytes` a mask.  Column i, `data[i::stride]`, holds
+    byte i of every mask; each `_slice_tables` table is one `translate`
+    pass over a column, OR-ed in as a big int (a zero column is skipped).
+    The images are written out node-major and read back by one
+    `struct.unpack("<{width * k}Q")`, or past 64 states by one
+    `int.from_bytes` an image over `struct.iter_unpack`.  The fixed cost
+    of a level grows with the tables: the per-mask paths are faster up to
     about 10 masks on Cerny 18 (9 tables), 48 and 64 on the 94- and
     564-state automata of the m = 8 subset chain (126 and 518); its
     levels of 16 to 63 masks take about 0.1 s of its 5 s, so 16 stays.
@@ -336,9 +326,8 @@ def _images(a: Automaton, careful: bool) -> Expand:
         if slices is None:
             tables = tables or _byte_tables(packed, nbytes)
             slices = _slice_tables(tables, k, n, stride)
-        from array import array  # as in `_bfs`: only wide searches load it
         if n <= 64:
-            data = _little(array("Q", frontier)).tobytes()
+            data = pack(f"<{width}Q", *frontier)
         else:
             data = b"".join(map(int.to_bytes, frontier, repeat(stride), repeat("little")))
         acc = [0] * (k * stride)  # acc[x * stride + o]: byte o of every x-image
@@ -355,7 +344,7 @@ def _images(a: Automaton, careful: bool) -> Expand:
                 out[slot::k * stride] = u.to_bytes(width, "little")
         del data, acc  # freed before the images are made
         if n <= 64:
-            return _little(array("Q", out)).tolist()
+            return list(unpack(f"<{width * k}Q", out))
         images = map(itemgetter(0), iter_unpack(f"{stride}s", out))  # no copy of out
         return list(map(int.from_bytes, images, repeat("little")))
 

@@ -166,7 +166,8 @@ def parse(text: str) -> Instance:
         raise ParseError(f"dfa must be total: missing transition for state {s} "
                          f"letter {alphabet.symbols[x]!r}")
     # rows only for the states that have lines: the rest share one empty
-    # row, so a file costs time in its lines, not in its declared states
+    # row.  Reading the tokens grows with the file's lines, but the
+    # `Automaton` validation below walks every row, states * letters cells
     empty = frozenset()
     delta = [(empty,) * k] * n
     for s in set(map(floordiv, cells, repeat(k))):

@@ -133,6 +133,59 @@ def test_build_missing_param(tmp_path, capsys):
     assert "--m" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["build", "cerny", "-o", "{d}/x.aut"], "cerny needs --n"),
+    (["build", "debruijn", "-o", "{d}/x.txt"], "debruijn needs --k"),
+    (["reduce", "--op", "chain"], "chain needs --m"),
+    (["reduce", "--op", "restart"], "reduce needs an input file (except op=chain)"),
+    (["verify", "{d}/bare.aut", "--check", "swap"], "swap check needs a partition section"),
+    (["verify", "{d}/bare.aut", "--check", "transversal"],
+     "transversal check needs subset and partition sections"),
+    (["verify", "{d}/bare.aut", "--check", "augmentation"],
+     "augmentation check needs a pairs section"),
+    (["verify", "{d}/bare.aut", "--check", "counter"], "counter check needs --m"),
+], ids=["cerny-n", "debruijn-k", "chain-m", "restart-file", "swap-partition",
+        "transversal-sections", "augmentation-pairs", "counter-m"])
+def test_missing_input_exits_1(tmp_path, capsys, argv, message):
+    # bare.aut holds no subset, partition or pairs section
+    (tmp_path / "bare.aut").write_text("kind dfa\nstates 2\nletters a\n0 a 1\n1 a 0\n")
+    code, out, err = run_cli(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not any(tmp_path.glob("x.*"))
+
+
+def test_blind_transversal_check_exits_2(tmp_path, capsys):
+    # the swap keeps {0, 1} whole, so no singleton is ever reached
+    path = tmp_path / "swap.aut"
+    path.write_text("kind dfa\nstates 2\nletters a\n0 a 1\n1 a 0\n"
+                    "subset 0 1\npartition 0|1\n")
+    code, out, err = run_cli(capsys, "verify", str(path), "--check", "transversal")
+    assert (code, out) == (2, "")
+    assert err.startswith("negative: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["shortest", "f.aut", "--mode", "bogus"],
+    ["shortest", "f.aut", "--mode", "classic", "--bogus"],
+    ["build", "counter", "--m", "two", "-o", "x.aut"],
+    ["shortest", "--mode", "classic"],
+    [],
+], ids=["bad-choice", "unknown-flag", "not-an-integer", "missing-argument",
+        "no-subcommand"])
+def test_argument_parser_usage_errors_exit_1(capsys, argv):
+    # argparse's own exit code, 2, would read as a definite negative
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: syncwords")
+    assert "error: " in err
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run_cli(capsys, "shortest", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: syncwords shortest")
+
+
 def test_verify_sc_and_swap(tmp_path, capsys):
     from syncwords.reduce import binary_chain
     reports = binary_chain(2, "subset")

@@ -131,6 +131,8 @@ def test_block_language_shape_rejections():
     assert not block_language_shape((0, LETTER_BLOCK), k)  # no finish
     assert not block_language_shape((0, 0, LETTER_FINISH), k)  # missing block letter
     assert not block_language_shape((LETTER_BLOCK, LETTER_FINISH), k)
+    # the last block is not closed by kappa
+    assert not block_language_shape((0, LETTER_BLOCK, 1), k)
     assert not block_language_shape(
         (0, LETTER_BLOCK, LETTER_FINISH, LETTER_FINISH), k)  # trailing letters
     assert block_language_shape((LETTER_FINISH,), k)

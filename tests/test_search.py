@@ -858,6 +858,13 @@ def test_swap_congruence_rejects_merging():
     assert not is_swap_congruence(a, [{0, 1}])
 
 
+def test_swap_congruence_rejects_a_split_block():
+    # a maps 0 and 1 to distinct states, but in two blocks
+    a = dfa_from_table([[0], [2], [1], [3]], "a")
+    assert not is_swap_congruence(a, [{0, 1}, {2, 3}])
+    assert is_swap_congruence(a, [{0, 3}, {1, 2}])
+
+
 def test_swap_congruence_requires_partition():
     a = dfa_from_table([[1, 0], [0, 1]], "ab")
     with pytest.raises(ValueError):

@@ -94,6 +94,25 @@ def test_nfa_duplicate_lines_union():
         # a repeated successor is one successor
         ("kind dfa\nstates 2\nletters a\n0 a 1,1\n1 a 0,1\n", 5,
          "dfa cell of state 1 letter 'a' has 2 successors"),
+        ("kind dfa\nstates 1\n", None, "incomplete header"),
+        ("kind\nstates 1\nletters a\n0 a 0\n", 1, "expected `kind dfa|pfa|nfa`"),
+        ("kind dfa\nstates 0\nletters a\n", 2, "state count must be positive"),
+        ("kind dfa\nstates 1 2\nletters a\n0 a 0\n", 2, "expected `states <n>`"),
+        ("kind dfa\nstates 1\nletters a a\n0 a 0\n", 3,
+         "alphabet tokens must be distinct"),
+        ("kind dfa\nstates 1\nletters a\n0 a\n", 4, "transition line must be"),
+        ("kind dfa\nstates 1\nletters a\n0 a 0\nsubset 0\nsubset 0\n", 6,
+         "duplicate subset section"),
+        ("kind dfa\nstates 1\nletters a\n0 a 0\nsubset\n", 5, "empty subset section"),
+        ("kind dfa\nstates 2\nletters a\n0 a 0\n1 a 1\npartition 0||1\n", 6,
+         "empty partition block"),
+        ("kind dfa\nstates 2\nletters a\n0 a 0\n1 a 1\npairs 0:1 1-0\n", 6,
+         "pair '1-0' must be <r>:<q>"),
+        ("kind dfa\nstates 1\nletters a\n0 a 0\nlabels 0\n", 5,
+         "label '0' must be <id>=<name>"),
+        # rejected by `Instance` once every line is read, so with no line
+        ("kind dfa\nstates 2\nletters a\n0 a 0\n1 a 1\npartition 0,1|1\n", None,
+         "partition blocks must be disjoint"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
