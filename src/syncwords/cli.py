@@ -604,11 +604,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
+        started = time.perf_counter()
+        code, report = args.func(args)
     except SystemExit as e:  # argparse exits 2 on a usage error, 0 on --help
         return EXIT_USAGE if e.code else EXIT_OK
-    started = time.perf_counter()
-    try:
-        code, report = args.func(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
