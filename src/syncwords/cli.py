@@ -15,6 +15,7 @@ import os
 import random
 import sys
 import time
+from functools import cache
 from itertools import groupby
 from typing import Optional
 
@@ -531,6 +532,7 @@ def cmd_experiment(args) -> Outcome:
     return _checks_exit(checks), report
 
 
+@cache  # built once per process: main's in-process callers then skip its set-up
 def _parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("json", "csv", "text"), default="text")

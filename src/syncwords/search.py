@@ -6,11 +6,11 @@ built from two pieces, and both work a whole BFS level at a time:
 * the image kernel `_images(a, careful)`, whose `expand(frontier)` lists
   the images of a level's masks in one flat list, k per mask (k
   letters), node-major and in declared alphabet order, with 0 where the
-  careful rule forbids the letter.  A narrow level runs mask by mask:
-  a bit loop over packed columns (one int per state holding its images
-  under all letters), or byte tables built from them.  A wide level,
-  when every letter applies to every mask, is byte-sliced: one
-  `bytes.translate` pass over the whole level per pair of input and
+  careful rule forbids the letter.  A narrow level runs mask by mask,
+  each mask on a bit loop over packed columns (one int per state holding
+  its images under all letters) or on byte tables built from them.  A
+  wide level, when every letter applies to every mask, is byte-sliced:
+  one `bytes.translate` pass over the whole level per pair of input and
   output byte (the three paths are set out in `_images`);
 * the driver `_bfs(start, expand, goal, ...)`, one level-synchronized
   breadth-first search that returns the `SearchResult`.  It calls `goal`
@@ -259,13 +259,15 @@ def _images(a: Automaton, careful: bool) -> Expand:
     A level of fewer than 16 masks, and any level until `256 * nbytes`
     masks are expanded, runs one mask at a time: OR-ing the packed columns
     of t's states gives its images under all letters side by side, cut
-    into one mask per letter, and the careful rule is checked per mask.
-    The bit loop ORs one column per set bit; the byte tables
-    (`_byte_tables`) one entry per byte of t.  A level uses the tables when
-    it is dense (twice its bit count over masks * nbytes) and the search
-    has expanded entries / nbytes masks, so that the tables (256 entries
-    per full byte, 2^r for a top byte of r states) cost no more than the
-    bit loops already run.
+    into one mask per letter.  The careful rule is checked per mask,
+    unless every letter applies to every mask.  The bit loop ORs one
+    column per set bit; the byte tables (`_byte_tables`) one entry per
+    byte of t.  The path is chosen per mask: once the search has expanded
+    entries / nbytes masks, so that the tables (256 entries per full byte,
+    2^r for a top byte of r states) cost no more than the bit loops
+    already run, a mask of a level under 16 masks takes the tables when
+    it is dense (twice its bit count over nbytes), and the first such
+    mask builds them.
 
     A wider level is byte-sliced, its per-mask work in C, when every
     letter applies to every mask: the careful rule is off or every letter
@@ -289,10 +291,12 @@ def _images(a: Automaton, careful: bool) -> Expand:
     full = (1 << n) - 1
     nbytes = (n + 7) // 8
     k = len(defined)
+    shifts = range(0, k * n, n)
     # (shift, mask of the states where the letter may be applied)
     letters = [(x * n, d if careful else full) for x, d in enumerate(defined)]
+    total = all(d == full for _, d in letters)  # every letter applies to every mask
     # the masks expanded before wide levels are sliced, if they ever are
-    switch = 256 * nbytes if all(d == full for _, d in letters) else inf
+    switch = 256 * nbytes if total else inf
     stride = 8 if n <= 64 else nbytes  # a mask's bytes on a wide level
     entries = 256 * (n // 8) + (1 << n % 8 if n % 8 else 0)
     expanded = 0
@@ -303,25 +307,28 @@ def _images(a: Automaton, careful: bool) -> Expand:
         nonlocal expanded, tables, slices
         width = len(frontier)
         if width < 16 or expanded < switch:  # one mask at a time
-            lookup = width < 16 and expanded * nbytes >= entries and (
-                2 * sum(map(int.bit_count, frontier)) > width * nbytes)
+            lookup = width < 16 and expanded * nbytes >= entries
             expanded += width
-            if lookup and tables is None:
-                tables = _byte_tables(packed, nbytes)
             flat = []
             for t in frontier:
                 u = 0
-                if not lookup:
+                if lookup and 2 * t.bit_count() > nbytes:
+                    if tables is None:
+                        tables = _byte_tables(packed, nbytes)
+                    for table, byte in zip(tables, t.to_bytes(nbytes, "little")):
+                        u |= table[byte]
+                else:
                     m = t
                     while m:
                         b = m & -m
                         u |= packed[b.bit_length() - 1]
                         m ^= b
+                if total:
+                    for shift in shifts:
+                        flat.append(u >> shift & full)
                 else:
-                    for table, byte in zip(tables, t.to_bytes(nbytes, "little")):
-                        u |= table[byte]
-                for shift, d in letters:
-                    flat.append((u >> shift) & full if t & d == t else 0)
+                    for shift, d in letters:
+                        flat.append(u >> shift & full if t & d == t else 0)
             return flat
         if slices is None:
             tables = tables or _byte_tables(packed, nbytes)
@@ -401,6 +408,7 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: Optional[SearchBud
     t0 = time.perf_counter()
     budget = budget or DEFAULT_BUDGET
     cap = min(budget.max_nodes, budget.max_memory // node_bytes)
+    max_length = budget.max_length
     # the count of discovered nodes from which the table is the smaller
     switch = max(4096, (1 << bits) // 32) if bits is not None else inf
     parents: Optional[dict] = {start: -1}  # node -> position, until the switch
@@ -425,7 +433,7 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: Optional[SearchBud
                                 time.perf_counter() - t0)
         # stop past a cap, before words longer than max_length, or when the
         # reachable graph is exhausted
-        if over > 0 or not frontier or len(frontiers) >= budget.max_length:
+        if over > 0 or not frontier or len(frontiers) >= max_length:
             status = BUDGET_EXCEEDED if over > 0 or frontier else negative
             return SearchResult(status, explored=explored, elapsed=time.perf_counter() - t0)
         if table is None:

@@ -564,6 +564,24 @@ def test_only_csv_reports_load_csv(cerny4_file):
     assert proc.stdout.splitlines()[-1] == "[False, False, True]"
 
 
+def test_one_parser_serves_every_call_alike(cerny4_file, capsys):
+    # main builds its parser once per process: no call's flags, usage
+    # error or --help carry over to the next call, whose output is a fresh
+    # interpreter's byte for byte
+    from syncwords.cli import _parser
+    assert _parser() is _parser()
+    argv = ["shortest", cerny4_file, "--mode", "classic"]
+    fresh = _fresh_interpreter(f"from syncwords.cli import main\nmain({argv!r})\n").stdout
+    assert fresh.startswith("# shortest classic\n")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert (code, json.loads(out)["results"][0]["witness"]) == (0, "baaabaaab")
+    assert run_cli(capsys, *argv) == (0, fresh, "")  # text, the default format
+    for between, code in ((["shortest", cerny4_file, "--mode", "bogus"], 1),
+                          (["shortest", "--help"], 0)):
+        assert run_cli(capsys, *between)[0] == code
+        assert run_cli(capsys, *argv) == (0, fresh, "")
+
+
 def _fresh_interpreter(script):
     """Run `script` in a new interpreter that imports this checkout's
     package, so that `sys.modules` shows what the CLI alone loads."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syncwords.automata import Memo, dfa_from_table, nfa_from_sets, pfa_from_table, run
+from syncwords.automata import DFA, Memo, dfa_from_table, nfa_from_sets, pfa_from_table, run
 from syncwords.families import cerny, counting_word, debruijn_counter
 from syncwords.sampling import (random_careful_subset_pfa,
                                 random_carefully_synchronizing_pfa, random_dfa,
@@ -63,18 +63,19 @@ def _split_pfa(rng, n, k):
 @example(_split_pfa, 20, 3, True, random.Random(21))
 @example(_split_pfa, 130, 2, True, random.Random(130))
 def test_image_kernel_matches_delta(sample, n, k, careful, rng):
-    # every per-level path of the kernel against the transition table.  A
-    # level of fewer than 16 masks runs one mask at a time: on the byte
-    # tables when it is dense (twice its bit count over masks * nbytes) and
-    # the masks expanded before it reach the tables' entries / nbytes, else
-    # on the bit loop.  A wider level runs on the bit loop until 256 *
-    # nbytes masks are expanded, then byte-sliced, unless the careful rule
-    # meets a letter undefined on some state: such a kernel runs every
-    # level one mask at a time, so it builds the byte tables for its dense
-    # narrow levels but never slices.  The examples take one-byte masks
-    # (n = 1, 5, 8), pack and unpack masks of one machine word (n = 9, 63,
-    # 64) and wider ones (65, 70, 100, 130), and cover nfa cells that
-    # cross bytes and careful letters undefined in two bytes
+    # every path of the kernel against the transition table.  A level of
+    # fewer than 16 masks runs one mask at a time: once the masks expanded
+    # before it reach the tables' entries / nbytes, each dense mask (twice
+    # its bit count over nbytes; at one byte every nonzero mask) on the
+    # byte tables, which the first one builds, and each other mask on the
+    # bit loop.  A wider level runs on the bit loop until 256 * nbytes
+    # masks are expanded, then byte-sliced, unless the careful rule meets a
+    # letter undefined on some state: such a kernel runs every level one
+    # mask at a time, so it builds the byte tables for its dense masks but
+    # never slices.  The examples take one-byte masks (n = 1, 5, 8), pack
+    # and unpack masks of one machine word (n = 9, 63, 64) and wider ones
+    # (65, 70, 100, 130), and cover nfa cells that cross bytes and careful
+    # letters undefined in two bytes
     a = sample(rng, n, k)
     nbytes = (n + 7) // 8
     full = (1 << n) - 1
@@ -91,21 +92,25 @@ def test_image_kernel_matches_delta(sample, n, k, careful, rng):
     def images(level):
         return [u for t in level for u in memo[t]]
 
-    def dense(level):
-        return 2 * sum(t.bit_count() for t in level) > len(level) * nbytes
+    def dense(t):
+        return 2 * t.bit_count() > nbytes
 
     wide = ([0, full] + [1 << s for s in range(n)]
             + [rng.getrandbits(n) for _ in range(256 * nbytes)])
     narrow_dense = [full] + [rng.getrandbits(n) | 1 for _ in range(14)]
-    narrow_sparse = [0, 1 << n - 1] * 7
-    assert dense(narrow_dense) and not dense(narrow_sparse)
+    narrow_sparse = [0, 1 << n - 1] * 7  # dense per mask at one byte
+    mixed = [0, 1 << n - 1, full, 1]  # sparse masks before and after a dense one
+    assert dense(full) and not dense(0) and dense(1 << n - 1) == (nbytes == 1)
     # (kernel, level, byte tables and slice tables built after it, and the
     # byte tables built after it with a partial careful letter)
+    one_byte = int(nbytes == 1)
     steps = [(0, [], 0, 0, 0),
              (0, narrow_dense, 0, 0, 0),  # no mask expanded yet: the bit loop
              (0, wide, 0, 0, 0),  # under the switch: the bit loop
-             (0, narrow_sparse, 0, 0, 0),  # past it, but sparse: the bit loop
-             (0, narrow_dense, 1, 0, 1),  # the byte tables, one mask at a time
+             # past it: the byte tables for dense masks, the bit loop for sparse
+             (0, narrow_sparse, one_byte, 0, one_byte),
+             (0, mixed, 1, 0, 1),
+             (0, narrow_dense, 1, 0, 1),
              (0, wide, 1, 1, 1),  # byte-sliced, or partial: the bit loop
              (0, narrow_dense[:1], 1, 1, 1),
              (0, wide, 1, 1, 1),  # the slice tables are built once
@@ -118,6 +123,10 @@ def test_image_kernel_matches_delta(sample, n, k, careful, rng):
             assert kernels[kernel](level) == images(level)
             expected = (built_partial, 0) if partial else (built, sliced)
             assert (tables.call_count, slices.call_count) == expected
+    if a.kind == DFA:  # every letter applies: the careful rule changes no image
+        kernel = _images(a, not careful)
+        for level in wide, mixed, wide:  # the bit loop, both per-mask paths, sliced
+            assert kernel(level) == images(level)
 
 
 def test_one_state_reset_is_empty():
