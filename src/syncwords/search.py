@@ -408,7 +408,6 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: Optional[SearchBud
     t0 = time.perf_counter()
     budget = budget or DEFAULT_BUDGET
     cap = min(budget.max_nodes, budget.max_memory // node_bytes)
-    max_length = budget.max_length
     # the count of discovered nodes from which the table is the smaller
     switch = max(4096, (1 << bits) // 32) if bits is not None else inf
     parents: Optional[dict] = {start: -1}  # node -> position, until the switch
@@ -433,7 +432,7 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: Optional[SearchBud
                                 time.perf_counter() - t0)
         # stop past a cap, before words longer than max_length, or when the
         # reachable graph is exhausted
-        if over > 0 or not frontier or len(frontiers) >= max_length:
+        if over > 0 or not frontier or len(frontiers) >= budget.max_length:
             status = BUDGET_EXCEEDED if over > 0 or frontier else negative
             return SearchResult(status, explored=explored, elapsed=time.perf_counter() - t0)
         if table is None:
