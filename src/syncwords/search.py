@@ -64,13 +64,13 @@ The brute-force oracle shares neither piece on purpose, so that it stays
 an independent check of the kernel and the driver: it builds its own
 successor columns from the transition table and runs its own level loop,
 one for all six modes.  It numbers each distinct mask or node and lists
-each level as one number per word, so it memoizes per node but still
-generates, tests and counts every word up to its length bound, merging
-none.  The three directing modes share one word tree, so one run of the
-loop tests every word in all three and answers them together; those
-answers are memoized on (automaton, length bound), 128 entries deep, and
-the classic, careful and subset modes run one at a time (see
-`brute_force_oracle`).
+each level as one number per word, one byte per word until the numbers
+pass 255, so it memoizes per node but still generates, tests and counts
+every word up to its length bound, merging none.  The three directing
+modes share one word tree, so one run of the loop tests every word in
+all three and answers them together; those answers are memoized on
+(automaton, length bound), 128 entries deep, and the classic, careful
+and subset modes run one at a time (see `brute_force_oracle`).
 
 The "careful" applicability rule (a letter may be applied to an active
 set only if it is defined on every active state) is used for pfa in all
@@ -909,18 +909,20 @@ def _word_levels(a: Automaton, subset: Optional[Iterable[int]], modes: Sequence[
     `a.delta`.  Each distinct node (a mask, or in the directing modes the
     tuple of per-start images) is numbered once, when it is first met,
     and then gets its go-on flag and one hit flag per mode; number 0
-    stands for a letter the careful rule forbids.  One `Memo` per letter
-    maps a node's number to its successor's.  A level lists one number
-    per word, k per word of the level before, built a letter at a time
-    through `map`s, so every word is still generated, tested and counted;
-    the memos cache pure functions of a node and merge no words.  The
-    next level keeps the words that go on, and every level's list is
-    kept, so a hit's word is spelled back through the positions of the
-    kept words.  `numbered` records when it numbers a hit node of a mode,
-    and only then is the level scanned for that mode's first hit: nodes
-    are numbered only while a level is built, so that level is the first
-    that can hold a hit, and every earlier level is counted whole.  The
-    loop ends when every mode is decided, or after max_len.
+    stands for a letter the careful rule forbids.  Before a level is
+    stepped, the successors of its new nodes (the kept ones numbered on
+    the level before) are numbered into one dict per letter.  A level
+    lists one number per word, k per word of the level before, built a
+    letter at a time, so every word is still generated, tested and
+    counted; the dicts merge no words.  A level is one byte per word,
+    stepped by one `translate` per letter, until the numbers pass 255;
+    then it is a list stepped through `map`.  The next level keeps the
+    words that go on, and every level is kept, so a hit's word is spelled
+    back through the positions of the kept words.  A level is scanned for
+    a mode's first hit only when it numbered a hit node of that mode: it
+    is the first level that can hold a hit, and every earlier level is
+    counted whole.  The loop ends when every mode is decided, or after
+    max_len.
     """
     t0 = time.perf_counter()
     n = a.n
@@ -967,41 +969,54 @@ def _word_levels(a: Automaton, subset: Optional[Iterable[int]], modes: Sequence[
 
         tests = [d1, d2, d3]  # the order of _DIRECTING
 
-    # per mode, (status, length, witness, explored) once decided
-    answers: list = [(FOUND, 0, (), 1) if test(start) else None for test in tests]
     # node number -> node, go-on flag and per mode a hit flag; node ->
     # number; the forbidden successor None is number 0
     nodes: list = [None]
     kept = [False]
     hits = [[False] for _ in tests]
     number: dict = {None: 0}
-    hit_numbered = [False] * len(tests)
 
-    def numbered(node) -> int:
-        j = number.get(node)
-        if j is None:
-            j = number[node] = len(nodes)
-            nodes.append(node)
-            kept.append(goes_on(node))
-            for m, test in enumerate(tests):
-                hits[m].append(test(node))
-                hit_numbered[m] |= hits[m][-1]
-        return j
+    def numbered(fresh: list) -> None:  # number the nodes met first
+        number.update(zip(fresh, count(len(nodes))))
+        nodes.extend(fresh)
+        kept.extend(map(goes_on, fresh))
+        for flags, test in zip(hits, tests):
+            flags.extend(map(test, fresh))
 
-    # per letter, a node's number -> its successor's number
-    steps = [Memo(lambda i, x=x: numbered(successor(x, nodes[i]))).__getitem__
-             for x in range(k)]
-    level = [numbered(start)]
+    numbered([start])
+    # per mode, (status, length, witness, explored) once decided
+    answers: list = [(FOUND, 0, (), 1) if flags[1] else None for flags in hits]
+    # per letter, a node's number -> its successor's number, and while
+    # every number is a byte, the same as a `translate` table
+    steps = [{} for _ in range(k)]
+    tables = [b""] * k
+    level = b"\1"  # the start's number
     levels = []  # per length, one number per word
     explored = 0
+    first = 1  # the first number given on the level before
     # no level at all when the empty word decides every mode
     for depth in range(1, max_len + 1 if None in answers else 1):
-        nxt = [0] * (len(level) * k)
-        for x, step in enumerate(steps):
-            nxt[x::k] = map(step, level)
+        # the level's new nodes: the kept ones numbered on the level before
+        todo = list(compress(range(first, len(nodes)), kept[first:]))
+        first = len(nodes)
+        for x, step in enumerate(steps if todo else ()):
+            succ = list(map(successor, repeat(x), map(nodes.__getitem__, todo)))
+            numbered([node for node in dict.fromkeys(succ) if node not in number])
+            step.update(zip(todo, map(number.__getitem__, succ)))
+            if len(nodes) <= 256:
+                tables[x] = bytes(map(step.get, range(len(nodes)), repeat(0))).ljust(256, b"\0")
+        small = len(nodes) <= 256  # one byte per word
+        if small:
+            nxt = bytearray(len(level) * k)
+            for x, table in enumerate(tables):
+                nxt[x::k] = level.translate(table)
+        else:
+            nxt = [0] * (len(level) * k)
+            for x, step in enumerate(steps):
+                nxt[x::k] = map(step.__getitem__, level)
         levels.append(nxt)
         for m, flags in enumerate(hits):
-            if answers[m] is None and hit_numbered[m]:  # numbered while building nxt
+            if answers[m] is None and any(flags[first:]):  # first met on this level
                 i = next(compress(count(), map(flags.__getitem__, nxt)))
                 found = explored + i + 1 - nxt[:i + 1].count(0)
                 # word i of a level extends kept word i // k of the level before
@@ -1016,7 +1031,8 @@ def _word_levels(a: Automaton, subset: Optional[Iterable[int]], modes: Sequence[
         level = nxt  # the directing modes forbid no letter and end no word
         if not directing:
             explored -= nxt.count(0)
-            level = list(compress(nxt, map(kept.__getitem__, nxt)))
+            level = (nxt.translate(None, bytes(compress(count(), map(not_, kept)))) if small
+                     else list(compress(nxt, map(kept.__getitem__, nxt))))
     elapsed = time.perf_counter() - t0
     return tuple(SearchResult(*(answer or (NOT_SYNCHRONIZING, None, None, explored)), elapsed)
                  for answer in answers)

@@ -1024,6 +1024,15 @@ _NFA_D3_NONE = nfa_from_sets([[{3}, {3}], [{0, 3}, {1, 2, 3}], [{2, 3}, ()], [()
 # does not extend it, so each length holds one word and counts two
 _NFA_EMPTIES = nfa_from_sets([[{0, 1}, ()], [{0, 1}, ()]], "ab")
 _NFA_ONE = nfa_from_sets([[{0}]], "a")
+# The oracle keeps a level one byte per word while it has numbered at most
+# 256 nodes: _DFA_289 numbers 289 masks in classic mode and steps its levels
+# from length 8 on as lists, _NFA_309 numbers 309 nodes from length 6 on
+# while d1 stays undecided over all 88,572 words.
+_DFA_289 = dfa_from_table([[8, 7, 5], [3, 4, 0], [3, 5, 5], [6, 3, 2], [5, 0, 6], [4, 8, 4],
+                           [7, 6, 8], [6, 2, 1], [2, 5, 7]], "abc")
+_NFA_309 = nfa_from_sets([[{3, 4, 5}, {1, 3}, {0, 1, 4}], [{0, 1, 3}, {0, 4}, {3}],
+                          [{5}, {4, 5}, {0}], [{3}, {1, 2, 3}, {5}], [{2, 4}, {5}, {1, 2}],
+                          [{1, 2, 3}, {5}, {1, 2}]], "abc")
 
 # (automaton, subset, mode, max_len) -> (status, length, witness, explored);
 # the careful pfa cases skip prefixes (226 words tested, not the 363 of all
@@ -1058,6 +1067,8 @@ ORACLE_PINS = [
     ((cerny(4).automaton, None, "classic", 0), (NOT_SYNCHRONIZING, None, None, 0)),
     ((cerny(4).automaton, None, "d2", 0), (NOT_SYNCHRONIZING, None, None, 0)),
     ((_NFA_ONE, None, "d1", 3), (FOUND, 0, (), 1)),
+    ((_DFA_289, None, "classic", 10), (FOUND, 9, (0, 1, 2, 1, 2, 1, 1, 1, 1), 13931)),
+    ((_NFA_309, None, "d1", 10), (NOT_SYNCHRONIZING, None, None, 88572)),
 ]
 
 
@@ -1103,8 +1114,11 @@ _KIND_MODES = {"dfa": search.MODES, "pfa": (CAREFUL, SUBSET, D1, D2, D3),
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([random_dfa, random_pfa, random_nfa]), st.integers(1, 7),
+@given(st.sampled_from([random_dfa, random_pfa, random_nfa]), st.integers(1, 9),
        st.integers(1, 3), st.randoms(use_true_random=False))
+# the oracle numbers more than 256 masks in classic mode (from length 8 on)
+# and in subset mode (from length 7 on): few random draws get there
+@example(random_dfa, 9, 3, random.Random(1934))
 def test_engine_agrees_with_the_oracle(sample, n, k, rng):
     # the driver's lex order and parent walk against a search that shares
     # no code with it, in all six modes
