@@ -75,12 +75,10 @@ def _env_int(name: str, default: int) -> int:
 def _budget(args) -> SearchBudget:
     """Caps from the flags, else the environment, else the defaults; a
     zero or negative cap is rejected by SearchBudget."""
-    nodes = getattr(args, "max_nodes", None)
-    length = getattr(args, "max_length", None)
     return SearchBudget(
         max_nodes=(_env_int("SYNCWORDS_MAX_NODES", DEFAULT_BUDGET.max_nodes)
-                   if nodes is None else nodes),
-        max_length=DEFAULT_BUDGET.max_length if length is None else length,
+                   if args.max_nodes is None else args.max_nodes),
+        max_length=DEFAULT_BUDGET.max_length if args.max_length is None else args.max_length,
         max_memory=_env_int("SYNCWORDS_MAX_MEMORY", DEFAULT_BUDGET.max_memory),
     )
 

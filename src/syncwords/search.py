@@ -6,12 +6,13 @@ built from two pieces, and both work a whole BFS level at a time:
 * the image kernel `_images(a, careful)`, whose `expand(frontier)` lists
   the images of a level's masks in one flat list, k per mask (k
   letters), node-major and in declared alphabet order, with 0 where the
-  careful rule forbids the letter.  A narrow level runs mask by mask,
-  each mask on a bit loop over packed columns (one int per state holding
-  its images under all letters) or on byte tables built from them.  A
-  wide level, when every letter applies to every mask, is byte-sliced:
-  one `bytes.translate` pass over the whole level per pair of input and
-  output byte (the three paths are set out in `_images`);
+  careful rule forbids the letter.  A wide level of masks of at most 64
+  states, when every letter applies to every mask, is byte-sliced: one
+  `bytes.translate` pass over the whole level per pair of input and
+  output byte.  Every other level, at any width, runs mask by mask, each
+  mask on a bit loop over packed columns (one int per state holding its
+  images under all letters) or on byte tables built from them, chosen
+  per mask by one rule (the paths are set out in `_images`);
 * the driver `_bfs(start, expand, goal, ...)`, one level-synchronized
   breadth-first search that returns the `SearchResult`.  It calls `goal`
   on `[start]` first, so a start that is a goal gives the empty word,
@@ -84,8 +85,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial, reduce
 from itertools import chain, compress, count, islice, repeat
 from math import inf
-from operator import and_, itemgetter, mul, not_
-from struct import iter_unpack, pack, unpack
+from operator import and_, mul, not_
+from struct import pack, unpack
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .automata import DFA, PFA, Automaton, Memo, StateSet, Word, restrict
@@ -227,23 +228,22 @@ def _byte_tables(packed: Sequence[int], nbytes: int) -> list[list[int]]:
     return tables
 
 
-def _slice_tables(tables: list[list[int]], k: int, n: int,
-                  stride: int) -> list[list[tuple[int, bytes]]]:
-    """For each byte i of a mask, the `bytes.translate` tables of wide
-    levels, cut from its byte table: (x * stride + o, T) for each of the k
-    letters x and byte o that byte i's states reach under x, T[v] being
-    byte o of the x-image of byte value v."""
+def _slice_tables(tables: list[list[int]], k: int, n: int) -> list[list[tuple[int, bytes]]]:
+    """For each byte i of a mask of at most 64 states, the
+    `bytes.translate` tables of wide levels, cut from its byte table:
+    (x * 8 + o, T) for each of the k letters x and byte o that byte i's
+    states reach under x, T[v] being byte o of the x-image of byte value v."""
     slices = []
     for table in tables:
         sliced = []
         for x in range(k):
             images = [u >> x * n & (1 << n) - 1 for u in table]
-            rows = b"".join([u.to_bytes(stride, "little") for u in images])
+            rows = pack(f"<{len(images)}Q", *images)
             reach = images[-1]  # all of byte i's states
             while reach:  # only the bytes reached, the highest first
                 o = (reach.bit_length() - 1) >> 3
                 reach &= (1 << 8 * o) - 1
-                sliced.append((x * stride + o, rows[o::stride].ljust(256, b"\0")))
+                sliced.append((x * 8 + o, rows[o::8].ljust(256, b"\0")))
         slices.append(sliced)
     return slices
 
@@ -256,35 +256,34 @@ def _images(a: Automaton, careful: bool) -> Expand:
     level of masks in one flat list, k per mask (k letters), node-major and
     in alphabet order, with 0 where the careful rule forbids the letter.
 
-    A level of fewer than 16 masks, and any level until `256 * nbytes`
-    masks are expanded, runs one mask at a time: OR-ing the packed columns
-    of t's states gives its images under all letters side by side, cut
-    into one mask per letter.  The careful rule is checked per mask,
-    unless every letter applies to every mask.  The bit loop ORs one
-    column per set bit; the byte tables (`_byte_tables`) one entry per
-    byte of t.  The path is chosen per mask: once the search has expanded
-    entries / nbytes masks, so that the tables (256 entries per full byte,
-    2^r for a top byte of r states) cost no more than the bit loops
-    already run, a mask of a level under 16 masks takes the tables when
-    it is dense (twice its bit count over nbytes), and the first such
-    mask builds them.
+    A level that is not byte-sliced (below) runs one mask at a time:
+    OR-ing the packed columns of t's states gives its images under all
+    letters side by side, cut into one mask per letter.  The careful rule
+    is checked per mask, unless every letter applies to every mask.  The
+    bit loop ORs one column per set bit; the byte tables (`_byte_tables`)
+    one entry per nonzero byte of t.  The path is chosen per mask, by one
+    rule at every level width: once the search has expanded entries /
+    nbytes masks, so that the tables (256 entries per full byte, 2^r for
+    a top byte of r states) cost no more than the bit loops already run,
+    a mask takes the tables when it is dense, and the first such mask
+    builds them.  A mask is dense when it has more than 2 + nbytes // 4
+    states: a lookup costs about three bit-loop steps plus a quarter step
+    per byte, so the bit loop keeps the one- and two-state masks of small
+    automata, as in the directing searches of a pfa read as an nfa.
 
-    A wider level is byte-sliced, its per-mask work in C, when every
-    letter applies to every mask: the careful rule is off or every letter
-    is total.  A kernel with a letter undefined somewhere under the
-    careful rule runs every level one mask at a time.  A sliced level is
-    packed `stride` bytes a mask, little-endian on every host: one
-    machine word up to 64 states, by one `struct.pack("<{width}Q")`, else
-    nbytes, one `int.to_bytes` a mask.  Column i, `data[i::stride]`, holds
-    byte i of every mask; each `_slice_tables` table is one `translate`
-    pass over a column, OR-ed in as a big int (a zero column is skipped).
-    The images are written out node-major and read back by one
-    `struct.unpack("<{width * k}Q")`, or past 64 states by one
-    `int.from_bytes` an image over `struct.iter_unpack`.  The fixed cost
-    of a level grows with the tables: the per-mask paths are faster up to
-    about 10 masks on Cerny 18 (9 tables), 48 and 64 on the 94- and
-    564-state automata of the m = 8 subset chain (126 and 518); its
-    levels of 16 to 63 masks take about 0.1 s of its 5 s, so 16 stays.
+    A level of 16 masks or more, once 256 * nbytes masks are expanded, is
+    byte-sliced, its per-mask work in C, when a mask fits in a machine
+    word (n <= 64) and every letter applies to every mask: the careful
+    rule is off or every letter is total.  Any other kernel runs every
+    level one mask at a time.  A sliced level is packed 8 bytes a mask,
+    little-endian on every host, by one `struct.pack("<{width}Q")`.
+    Column i, `data[i::8]`, holds byte i of every mask; each
+    `_slice_tables` table is one `translate` pass over a column, OR-ed in
+    as a big int (a zero column is skipped).  The images are written out
+    node-major and read back by one `struct.unpack("<{width * k}Q")`.
+    The fixed cost of a level grows with the tables: on Cerny 18 (9
+    tables) the per-mask paths are faster up to about 10 masks, so a
+    level under 16 masks is never sliced.
     """
     defined, packed = transition_masks(a)
     n = a.n
@@ -296,8 +295,7 @@ def _images(a: Automaton, careful: bool) -> Expand:
     letters = [(x * n, d if careful else full) for x, d in enumerate(defined)]
     total = all(d == full for _, d in letters)  # every letter applies to every mask
     # the masks expanded before wide levels are sliced, if they ever are
-    switch = 256 * nbytes if total else inf
-    stride = 8 if n <= 64 else nbytes  # a mask's bytes on a wide level
+    switch = 256 * nbytes if total and n <= 64 else inf
     entries = 256 * (n // 8) + (1 << n % 8 if n % 8 else 0)
     expanded = 0
     tables: Optional[list[list[int]]] = None
@@ -307,16 +305,17 @@ def _images(a: Automaton, careful: bool) -> Expand:
         nonlocal expanded, tables, slices
         width = len(frontier)
         if width < 16 or expanded < switch:  # one mask at a time
-            lookup = width < 16 and expanded * nbytes >= entries
+            lookup = expanded * nbytes >= entries
             expanded += width
             flat = []
             for t in frontier:
                 u = 0
-                if lookup and 2 * t.bit_count() > nbytes:
+                if lookup and t.bit_count() > 2 + nbytes // 4:
                     if tables is None:
                         tables = _byte_tables(packed, nbytes)
                     for table, byte in zip(tables, t.to_bytes(nbytes, "little")):
-                        u |= table[byte]
+                        if byte:
+                            u |= table[byte]
                 else:
                     m = t
                     while m:
@@ -332,28 +331,22 @@ def _images(a: Automaton, careful: bool) -> Expand:
             return flat
         if slices is None:
             tables = tables or _byte_tables(packed, nbytes)
-            slices = _slice_tables(tables, k, n, stride)
-        if n <= 64:
-            data = pack(f"<{width}Q", *frontier)
-        else:
-            data = b"".join(map(int.to_bytes, frontier, repeat(stride), repeat("little")))
-        acc = [0] * (k * stride)  # acc[x * stride + o]: byte o of every x-image
+            slices = _slice_tables(tables, k, n)
+        data = pack(f"<{width}Q", *frontier)
+        acc = [0] * (k * 8)  # acc[x * 8 + o]: byte o of every x-image
         zero = bytes(width)
         for i, sliced in enumerate(slices):
-            column = data[i::stride]  # byte i of every mask
+            column = data[i::8]  # byte i of every mask
             if column != zero:  # else every table maps it to 0
                 for slot, table in sliced:
                     acc[slot] |= int.from_bytes(column.translate(table), "little")
-        # byte o of mask j's x-image goes to out[(j * k + x) * stride + o]
-        out = bytearray(width * k * stride)
+        # byte o of mask j's x-image goes to out[(j * k + x) * 8 + o]
+        out = bytearray(width * k * 8)
         for slot, u in enumerate(acc):
             if u:
-                out[slot::k * stride] = u.to_bytes(width, "little")
+                out[slot::k * 8] = u.to_bytes(width, "little")
         del data, acc  # freed before the images are made
-        if n <= 64:
-            return list(unpack(f"<{width * k}Q", out))
-        images = map(itemgetter(0), iter_unpack(f"{stride}s", out))  # no copy of out
-        return list(map(int.from_bytes, images, repeat("little")))
+        return list(unpack(f"<{width * k}Q", out))
 
     return expand
 

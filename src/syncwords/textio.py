@@ -34,10 +34,13 @@ class ParseError(ValueError):
 
 
 def _int(tok: str, what: str, line: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"{what} {tok!r} is not an integer", line) from None
+    """An ASCII decimal integer, an optional `-` and the digits 0-9 alone:
+    `int` would also take `+`, `_` and non-ASCII digits, which
+    `serialize` would then write back as other tokens."""
+    digits = tok[1:] if tok.startswith("-") else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{what} {tok!r} is not an integer", line)
+    return int(tok)
 
 
 _SECTIONS = frozenset(("subset", "partition", "pairs", "labels"))

@@ -243,3 +243,29 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         Instance(a, frozenset({0}), None, ((0, 7),))
     Instance(a, frozenset({0, 1}), (frozenset({0}), frozenset({1})), ((0, 1),))
+
+
+_ONE_LETTER = Alphabet(("a",))
+_LOOP = (frozenset({0}),)  # the row of a state that loops on its one letter
+_TWO_LOOPS = dfa_from_table([[0], [1]], "a")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Automaton("tree", 1, _ONE_LETTER, (_LOOP,)), ValueError, "unknown kind 'tree'"),
+    (lambda: Automaton("dfa", 0, _ONE_LETTER, ()), ValueError, "need at least one state"),
+    (lambda: Automaton("dfa", 2, _ONE_LETTER, (_LOOP,)), ValueError,
+     "delta must have one row per state"),
+    (lambda: Automaton("dfa", 1, _ONE_LETTER, (_LOOP,), ("p", "q")), ValueError,
+     "need one label per state"),
+    (lambda: _ONE_LETTER.index("b"), KeyError, "unknown letter 'b'"),
+    (lambda: Instance(_TWO_LOOPS, partition=(frozenset({0}), frozenset())), ValueError,
+     "empty partition block"),
+    (lambda: Instance(_TWO_LOOPS, partition=(frozenset({0, 2}),)), ValueError,
+     "partition member out of range"),
+    (lambda: run(_TWO_LOOPS, {2}, ()), IndexError, "start state out of range"),
+    (lambda: run(_TWO_LOOPS, {0}, (0, 1)), IndexError, "letter 1 out of range"),
+])
+def test_invalid_arguments_raise(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert err.type is error and err.value.args == (message,)

@@ -179,3 +179,13 @@ def test_cerny_family():
 @pytest.mark.parametrize("n,expected", [(3, 4), (4, 9), (5, 16)])
 def test_cerny_reset_lengths(n, expected):
     assert shortest_reset(cerny(n).automaton).length == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify_de_bruijn("01", 0), "order must be at least 1"),
+    (lambda: window_permutation("011"), "sequence length must be a power of two"),
+])
+def test_invalid_arguments_raise(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert err.type is ValueError and err.value.args == (message,)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from syncwords.automata import (Instance, dfa_from_table, is_strongly_connected,
-                                pfa_from_table, run)
+                                nfa_from_sets, pfa_from_table, run)
 from syncwords.families import cerny, debruijn_counter
 from syncwords.reduce import (add_link_letters, add_restart_letter,
                               add_sink_determinization, binarize, binary_chain,
@@ -418,3 +418,27 @@ def test_reports_are_frozen():
     final = binary_chain(2, "subset")[-1]
     assert isinstance(final.checks, tuple)
     assert final.details["formula_states"] == 180
+
+
+_LOOPS = dfa_from_table([[0], [1], [2]], "a")  # three states, each looping
+_NFA = nfa_from_sets([[{0}]], "a")
+_NOT_CONNECTING = "the given arcs do not make the automaton strongly connected"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: add_sink_determinization(_NFA, {0}), "determinization applies to dfa/pfa"),
+    (lambda: add_link_letters(_NFA, ()), "link letters apply to dfa/pfa"),
+    (lambda: swap_doubling(pfa_from_table([[0]], "a"), {0}, [(0, 0), (0, 0)]),
+     "doubling applies to dfa"),
+    # the arcs link states 0 and 1 but never reach state 2
+    (lambda: swap_doubling(_LOOPS, {0, 1}, [(0, 1), (1, 0)]), _NOT_CONNECTING),
+    (lambda: binarize(_NFA), "binarization applies to dfa/pfa"),
+    (lambda: run_reduction("add-sinks", Instance(_LOOPS)), "add-sinks needs a subset"),
+    (lambda: run_reduction("double", Instance(_LOOPS)), "double needs a subset"),
+    (lambda: run_reduction("restart", Instance(_LOOPS, subset=frozenset({0}))),
+     "restart needs a subset and a partition"),
+])
+def test_invalid_arguments_raise(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert err.type is ValueError and err.value.args == (message,)

@@ -64,23 +64,25 @@ def _split_pfa(rng, n, k):
 @example(_split_pfa, 20, 3, True, random.Random(21))
 @example(_split_pfa, 130, 2, True, random.Random(130))
 def test_image_kernel_matches_delta(sample, n, k, careful, rng):
-    # every path of the kernel against the transition table.  A level of
-    # fewer than 16 masks runs one mask at a time: once the masks expanded
-    # before it reach the tables' entries / nbytes, each dense mask (twice
-    # its bit count over nbytes; at one byte every nonzero mask) on the
-    # byte tables, which the first one builds, and each other mask on the
-    # bit loop.  A wider level runs on the bit loop until 256 * nbytes
-    # masks are expanded, then byte-sliced, unless the careful rule meets a
-    # letter undefined on some state: such a kernel runs every level one
-    # mask at a time, so it builds the byte tables for its dense masks but
-    # never slices.  The examples take one-byte masks (n = 1, 5, 8), pack
-    # and unpack masks of one machine word (n = 9, 63, 64) and wider ones
-    # (65, 70, 100, 130), and cover nfa cells that cross bytes and careful
+    # every path of the kernel against the transition table.  A level that
+    # is not sliced runs one mask at a time, whatever its width: once the
+    # masks expanded before it reach the tables' entries / nbytes, each
+    # dense mask (more than 2 + nbytes // 4 states) on the byte tables,
+    # which the first one builds, and each other mask on the bit loop.  A
+    # level of 16 masks or more is byte-sliced once 256 * nbytes masks are
+    # expanded, but only over masks of at most 64 states and when no
+    # careful letter is undefined on some state; any other kernel builds
+    # the byte tables for its dense masks but never slices.  The examples
+    # take one-byte masks (n = 1, 5, 8), pack and unpack masks of one
+    # machine word (n = 9, 63, 64), run wider ones one mask at a time (65,
+    # 70, 100, 130), and cover nfa cells that cross bytes and careful
     # letters undefined in two bytes
     a = sample(rng, n, k)
     nbytes = (n + 7) // 8
     full = (1 << n) - 1
     partial = careful and not all(cell for row in a.delta for cell in row)
+    sliced = n <= 64 and not partial  # whether a kernel slices its wide levels
+    entries = 256 * (n // 8) + (1 << n % 8 if n % 8 else 0)
 
     def images_of(t):
         cells = [a.delta[s] for s in range(n) if t >> s & 1]
@@ -94,36 +96,44 @@ def test_image_kernel_matches_delta(sample, n, k, careful, rng):
         return [u for t in level for u in memo[t]]
 
     def dense(t):
-        return 2 * t.bit_count() > nbytes
+        return t.bit_count() > 2 + nbytes // 4
 
     wide = ([0, full] + [1 << s for s in range(n)]
             + [rng.getrandbits(n) for _ in range(256 * nbytes)])
     narrow_dense = [full] + [rng.getrandbits(n) | 1 for _ in range(14)]
-    narrow_sparse = [0, 1 << n - 1] * 7  # dense per mask at one byte
+    narrow_sparse = [0, 1 << n - 1] * 7
     mixed = [0, 1 << n - 1, full, 1]  # sparse masks before and after a dense one
-    assert dense(full) and not dense(0) and dense(1 << n - 1) == (nbytes == 1)
-    # (kernel, level, byte tables and slice tables built after it, and the
-    # byte tables built after it with a partial careful letter)
-    one_byte = int(nbytes == 1)
-    steps = [(0, [], 0, 0, 0),
-             (0, narrow_dense, 0, 0, 0),  # no mask expanded yet: the bit loop
-             (0, wide, 0, 0, 0),  # under the switch: the bit loop
-             # past it: the byte tables for dense masks, the bit loop for sparse
-             (0, narrow_sparse, one_byte, 0, one_byte),
-             (0, mixed, 1, 0, 1),
-             (0, narrow_dense, 1, 0, 1),
-             (0, wide, 1, 1, 1),  # byte-sliced, or partial: the bit loop
-             (0, narrow_dense[:1], 1, 1, 1),
-             (0, wide, 1, 1, 1),  # the slice tables are built once
-             (1, wide, 1, 1, 1),
-             (1, wide, 2, 2, 1)]  # byte-sliced: the slices are cut from byte tables
+    assert dense(full) == (n > 2) and not dense(0) and not dense(1 << n - 1)
+    # (kernel, level): the first kernel's levels take every path in turn,
+    # the second's a wide level under its switch and one past it
+    steps = [(0, []),
+             (0, narrow_dense),  # no mask expanded yet: the bit loop
+             (0, wide),  # under the switch, one mask at a time
+             (0, narrow_sparse),  # past it: the bit loop for sparse masks
+             (0, mixed),  # the byte tables for a dense mask
+             (0, narrow_dense),
+             (0, wide),  # byte-sliced, or one mask at a time
+             (0, narrow_dense[:1]),
+             (0, wide),  # the slice tables are built once
+             (1, wide),  # a new kernel: the bit loop under its switch
+             (1, wide)]  # sliced, the slices cut from its own byte tables
+    # per kernel, the masks expanded one at a time and whether it has built
+    # byte tables and slice tables, by the rule above
+    expanded, built, cut = [0, 0], [False, False], [False, False]
     with mock.patch.object(search, "_byte_tables", wraps=search._byte_tables) as tables, \
             mock.patch.object(search, "_slice_tables", wraps=search._slice_tables) as slices:
         kernels = [_images(a, careful), _images(a, careful)]
-        for kernel, level, built, sliced, built_partial in steps:
+        for kernel, level in steps:
             assert kernels[kernel](level) == images(level)
-            expected = (built_partial, 0) if partial else (built, sliced)
-            assert (tables.call_count, slices.call_count) == expected
+            if len(level) >= 16 and sliced and expanded[kernel] >= 256 * nbytes:
+                built[kernel] = cut[kernel] = True
+            else:
+                if expanded[kernel] * nbytes >= entries and any(map(dense, level)):
+                    built[kernel] = True
+                expanded[kernel] += len(level)
+            assert (tables.call_count, slices.call_count) == (sum(built), sum(cut))
+    # every kernel slices, or with a dense mask looks it up, in the end
+    assert cut == [sliced] * 2 and built == [sliced or n > 2] * 2
 
 
 def test_one_state_reset_is_empty():
@@ -332,21 +342,13 @@ def _cerny_14_in_100_states(partial):
     return (pfa_from_table(table, "abc") if partial else dfa_from_table(table, "ab")), spots
 
 
-def test_wide_search_past_64_states_is_pinned():
-    # every letter is total, so the search is byte-sliced: its masks are
-    # wider than a machine word, and most levels are sliced
-    a, spots = _cerny_14_in_100_states(partial=False)
-    search._reset_search.cache_clear()  # measure a search, not a cache hit
-    with mock.patch.object(search, "_slice_tables", wraps=search._slice_tables) as slices:
-        res = shortest_subset_reset(a, spots)
-    assert slices.call_count == 1
-    assert (res.length, res.explored, res.witness) == (169, 16370, CERNY_14_WITNESS)
-
-
-def test_wide_careful_search_with_a_partial_letter_is_never_sliced():
-    # the careful rule meets letters undefined on every byte's states, so
-    # every level runs one mask at a time, and the answer does not change
-    a, spots = _cerny_14_in_100_states(partial=True)
+@pytest.mark.parametrize("partial", [False, True])
+def test_wide_search_past_64_states_is_pinned(partial):
+    # masks wider than a machine word are never byte-sliced, whether every
+    # letter is total or the careful rule meets letters undefined on every
+    # byte's states: every level runs one mask at a time, and the answer
+    # does not change
+    a, spots = _cerny_14_in_100_states(partial)
     search._reset_search.cache_clear()  # measure a search, not a cache hit
     with mock.patch.object(search, "_slice_tables", wraps=search._slice_tables) as slices:
         res = shortest_subset_reset(a, spots)
@@ -1236,3 +1238,25 @@ def test_subset_members_are_range_checked(call, member):
     a = dfa_from_table([[1, 0], [1, 1]], "ab")
     with pytest.raises(IndexError, match="subset member out of range"):
         call(a, {member})
+
+
+_NFA = nfa_from_sets([[{0}]], "a")
+_LOOPS = dfa_from_table([[0], [1], [2]], "a")  # three states, each looping
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: relevant_part(_NFA, {0}), "relevant_part requires a dfa or pfa"),
+    (lambda: is_swap_congruence(pfa_from_table([[0]], "a"), [[0]]),
+     "swap congruence is defined for dfa"),
+    (lambda: check_transversal_partition(_NFA, {0}, [[0]]),
+     "transversal check requires a dfa or pfa"),
+    (lambda: count_shortest_reset_words(_NFA, {0}), "word counting requires a dfa or pfa"),
+    (lambda: check_transversal_partition(_LOOPS, {0, 1}, [[0, 1], [1, 2]]),
+     "partition blocks must be disjoint"),
+    (lambda: check_transversal_partition(_LOOPS, {0, 2}, [[0], [1]]),
+     "subset must lie inside the union of the blocks"),
+])
+def test_invalid_arguments_raise(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert err.type is ValueError and err.value.args == (message,)

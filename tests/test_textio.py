@@ -66,6 +66,18 @@ def test_nfa_duplicate_lines_union():
     [
         ("kind wat\nstates 1\nletters a\n0 a 0\n", 1, "unknown kind"),
         ("kind dfa\nstates x\nletters a\n0 a 0\n", 2, "not an integer"),
+        # integers are ASCII decimal: an optional `-` and the digits 0-9,
+        # and a negative one keeps its range message
+        ("kind dfa\nstates 1_0\nletters a\n0 a 0\n", 2,
+         "state count '1_0' is not an integer"),
+        ("kind dfa\nstates -2\nletters a\n0 a 0\n", 2, "state count must be positive"),
+        ("kind dfa\nstates 2\nletters a\n0 a 0\n+1 a 1\n", 5, "state '+1' is not an integer"),
+        ("kind dfa\nstates 3\nletters a\n0 a \u0662\n", 4,
+         "state '\u0662' is not an integer"),
+        ("kind dfa\nstates 2\nletters a\n0 a 0\n1 a \uff11\n", 5,
+         "state '\uff11' is not an integer"),
+        ("kind dfa\nstates 1\nletters a\n0 a 0\nsubset -\n", 5, "state '-' is not an integer"),
+        ("kind dfa\nstates 1\nletters a\n0 a -1\n", 4, "state -1 out of range 0..0"),
         ("kind dfa\nstates 1\nalpha a\n0 a 0\n", 3, "letters"),
         ("kind dfa\nstates 1\nletters a\n0 b 0\n", 4, "unknown letter"),
         ("kind dfa\nstates 1\nletters a\n0 a 5\n", 4, "out of range"),
