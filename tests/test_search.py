@@ -343,7 +343,7 @@ def _cerny_14_in_100_states(partial):
 
 
 @pytest.mark.parametrize("partial", [False, True])
-def test_wide_search_past_64_states_is_pinned(partial):
+def test_wide_search_past_64_states_is_never_sliced(partial):
     # masks wider than a machine word are never byte-sliced, whether every
     # letter is total or the careful rule meets letters undefined on every
     # byte's states: every level runs one mask at a time, and the answer
