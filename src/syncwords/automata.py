@@ -45,6 +45,27 @@ class Memo(dict):
         return value
 
 
+def _check_tokens(tokens: Sequence[str], letters: bool) -> None:
+    """Raise ValueError naming the first letter token (`letters`) or state
+    label that the text format cannot hold.  The format splits a line on
+    whitespace and cuts it at `#`, reads `-` as an undefined cell and a
+    label after its `=`: so every token is a nonempty string free of
+    whitespace and `#`, a letter is not `-` and a label holds no `=`.
+    All tokens are checked at once: joined by spaces, they split back into
+    themselves exactly when each is nonempty and free of whitespace."""
+    def valid(toks: Sequence[str]) -> bool:
+        try:
+            joined = " ".join(toks)
+        except TypeError:
+            return False  # a token that is not a string
+        return (joined.split() == list(toks) and "#" not in joined
+                and ("-" not in toks if letters else "=" not in joined))
+
+    if not valid(tokens):
+        bad = next(tok for tok in tokens if not valid((tok,)))
+        raise ValueError(f"bad {'letter token' if letters else 'state label'} {bad!r}")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered list of distinct letter tokens; letter index = position."""
@@ -54,10 +75,7 @@ class Alphabet:
     def __post_init__(self) -> None:
         if not self.symbols:
             raise ValueError("alphabet must be nonempty")
-        for tok in self.symbols:  # before the set, which needs hashable tokens
-            if (not isinstance(tok, str) or not tok or any(c.isspace() for c in tok)
-                    or tok == "-" or "#" in tok):
-                raise ValueError(f"bad letter token {tok!r}")
+        _check_tokens(self.symbols, letters=True)  # the set below needs hashable tokens
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet tokens must be distinct")
 
@@ -71,22 +89,14 @@ class Alphabet:
             raise KeyError(f"unknown letter {token!r}") from None
 
 
-def _labels_are_valid(labels: tuple) -> bool:
-    """All labels checked at once: the text format splits on whitespace
-    and `=` and cuts `#`, so each label must be a nonempty string without
-    them.  Joined by `=`, the labels hold one fewer `=` than there are
-    labels, no `#` and no whitespace exactly when every label is free of
-    all three."""
-    try:
-        joined = "=".join(labels)
-    except TypeError:
-        return False  # a label that is not a string
-    return (all(labels) and joined.count("=") == len(labels) - 1
-            and "#" not in joined and joined.split() == [joined])
-
-
 @dataclass(frozen=True)
 class Automaton:
+    """A dfa, pfa or nfa on the states 0..n-1: `delta[s][x]` is the
+    frozenset of successors of state s under letter x, exactly one in a
+    dfa and at most one in a pfa.  `state_labels` names the states for
+    the text format; None names each by its index.  Construction checks
+    the kind, the table and the labels."""
+
     kind: str
     n: int
     alphabet: Alphabet
@@ -105,10 +115,7 @@ class Automaton:
         if self.state_labels is not None:
             if len(self.state_labels) != self.n:
                 raise ValueError("need one label per state")
-            if not _labels_are_valid(self.state_labels):
-                bad = next(lab for lab in self.state_labels
-                           if not _labels_are_valid((lab,)))
-                raise ValueError(f"bad state label {bad!r}")
+            _check_tokens(self.state_labels, letters=False)
 
     def _table_is_valid(self) -> bool:
         """The whole transition table checked at once: row lengths, the
@@ -270,15 +277,6 @@ def sink_states(a: Automaton) -> StateSet:
     )
 
 
-def successors(a: Automaton) -> list[set[int]]:
-    """Adjacency of the underlying digraph (one edge per successor)."""
-    adj: list[set[int]] = [set() for _ in a.states]
-    for s in a.states:
-        for cell in a.delta[s]:
-            adj[s] |= cell
-    return adj
-
-
 @dataclass(frozen=True)
 class Condensation:
     """SCCs in topological order plus the component DAG."""
@@ -345,7 +343,7 @@ def _tarjan(n: int, adj: Sequence[Iterable[int]]) -> list[list[int]]:
 
 
 def condensation(a: Automaton, extra_arcs: Iterable[Pair] = ()) -> Condensation:
-    adj = successors(a)
+    adj = [set().union(*row) for row in a.delta]  # the underlying digraph
     for r, q in extra_arcs:
         adj[r].add(q)
     comps = _tarjan(a.n, adj)

@@ -15,24 +15,22 @@ from .automata import Automaton, Instance, Pair, StateSet, Word, dfa_from_table
 
 
 def de_bruijn(k: int) -> str:
-    """Lexicographically least binary De Bruijn sequence of order k."""
+    """Lexicographically least binary De Bruijn sequence of order k: the
+    Lyndon words whose length divides k, in lexicographic order, each
+    generated from the last by Duval's loop."""
     if k < 1:
         raise ValueError("order must be at least 1")
     seq: list[int] = []
-    a = [0] * (k + 1)
-
-    def db(t: int, p: int) -> None:
-        if t > k:
-            if k % p == 0:
-                seq.extend(a[1:p + 1])
-        else:
-            a[t] = a[t - p]
-            db(t + 1, p)
-            for j in range(a[t - p] + 1, 2):
-                a[t] = j
-                db(t + 1, t)
-
-    db(1, 1)
+    word = [-1]
+    while word:
+        word[-1] += 1
+        p = len(word)
+        if k % p == 0:
+            seq += word
+        while len(word) < k:
+            word.append(word[-p])
+        while word and word[-1] == 1:
+            word.pop()
     return "".join(map(str, seq))
 
 
@@ -44,9 +42,7 @@ def verify_de_bruijn(bits: str, k: int) -> bool:
         raise ValueError(f"sequence must have length {1 << k}, got {len(bits)}")
     if any(c not in "01" for c in bits):
         raise ValueError("sequence must be binary")
-    ext = bits + bits[:k - 1]
-    factors = {ext[i:i + k] for i in range(len(bits))}
-    return len(factors) == len(bits)
+    return len(set(window_permutation(bits))) == len(bits)
 
 
 def window_permutation(bits: str) -> tuple[int, ...]:

@@ -119,6 +119,11 @@ class BlindSubsetError(ValueError):
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """The caps of one search: the nodes it discovers (`max_nodes`), the
+    length of the words it reaches (`max_length`) and the bytes of its
+    discovered nodes (`max_memory`).  A search that would pass one stops
+    with BUDGET_EXCEEDED."""
+
     max_nodes: int = 10_000_000
     max_length: int = 10_000_000
     # a byte cap, enforced exactly against the per-node estimate `_node_bytes`
@@ -667,6 +672,10 @@ def is_swap_congruence(a: Automaton, partition: Sequence[Iterable[int]]) -> bool
 
 @dataclass(frozen=True)
 class TransversalViolation:
+    """A failure of the transversal-partition property: a shortest `word`
+    that maps the checked subset onto `subset`, a set of two or more
+    states that misses a block or meets one twice."""
+
     word: Word
     subset: StateSet
 

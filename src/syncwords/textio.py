@@ -34,11 +34,12 @@ class ParseError(ValueError):
 
 
 def _int(tok: str, what: str, line: int) -> int:
-    """An ASCII decimal integer, an optional `-` and the digits 0-9 alone:
-    `int` would also take `+`, `_` and non-ASCII digits, which
-    `serialize` would then write back as other tokens."""
-    digits = tok[1:] if tok.startswith("-") else tok
-    if not (digits.isascii() and digits.isdigit()):
+    """An ASCII decimal integer as `serialize` writes it: `0`, or an
+    optional `-`, a digit 1-9 and then digits 0-9.  `int` would also take
+    `+`, `_`, leading zeros and non-ASCII digits, which `serialize` would
+    then write back as other tokens."""
+    digits = tok.removeprefix("-")
+    if tok != "0" and not (digits.isascii() and digits.isdigit() and digits[0] != "0"):
         raise ParseError(f"{what} {tok!r} is not an integer", line)
     return int(tok)
 

@@ -84,6 +84,35 @@ def test_the_first_bad_label_is_named(label):
         dfa_from_table([[0], [1], [2], [0]], "a", ["p", label, "r s", "t"])
 
 
+# One token rule for letters and labels: the verdicts on the edge tokens,
+# None where the token is accepted, else the exact message.
+@pytest.mark.parametrize("tok, as_letter, as_label", [
+    ("", "bad letter token ''", "bad state label ''"),
+    (" ", "bad letter token ' '", "bad state label ' '"),
+    ("a b", "bad letter token 'a b'", "bad state label 'a b'"),
+    ("\t", "bad letter token '\\t'", "bad state label '\\t'"),
+    ("a\xa0b", "bad letter token 'a\\xa0b'", "bad state label 'a\\xa0b'"),
+    ("-", "bad letter token '-'", None),
+    ("a-b", None, None),
+    ("#", "bad letter token '#'", "bad state label '#'"),
+    ("a#", "bad letter token 'a#'", "bad state label 'a#'"),
+    ("=", None, "bad state label '='"),
+    ("a=b", None, "bad state label 'a=b'"),
+    ("ω", None, None),
+    (1, "bad letter token 1", "bad state label 1"),
+    (None, "bad letter token None", "bad state label None"),
+])
+def test_token_rule_edges(tok, as_letter, as_label):
+    for make, message in ((lambda: Alphabet(("x", tok)), as_letter),
+                          (lambda: dfa_from_table([[0], [1]], "a", ["x", tok]), as_label)):
+        if message is None:
+            make()
+        else:
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == message
+
+
 def test_step_examples():
     a = pfa_from_table([[1, None], [1, 0]], "ab")
     assert step(a, 0, 0) == frozenset({1})

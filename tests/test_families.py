@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from syncwords.automata import (augmentation_connects, is_strongly_connected,
@@ -23,6 +25,24 @@ def test_de_bruijn_rejects_zero():
 @pytest.mark.parametrize("k", range(1, 13))
 def test_de_bruijn_passes_verifier(k):
     assert verify_de_bruijn(de_bruijn(k), k)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_de_bruijn_is_the_least_de_bruijn_sequence(k):
+    # every binary string below it in lexicographic order misses a window
+    length = 1 << k
+    for value in range(1 << length):
+        bits = format(value, f"0{length}b")
+        ext = bits + bits[:k - 1]
+        if len({ext[i:i + k] for i in range(length)}) == length:
+            break
+    assert de_bruijn(k) == bits
+
+
+@pytest.mark.parametrize("k, digest", [(4, "afbde163548e"), (8, "077d3bf79df6"),
+                                       (12, "b9a9abd9134a"), (16, "f473336a7789")])
+def test_de_bruijn_is_pinned(k, digest):
+    assert hashlib.sha256(de_bruijn(k).encode()).hexdigest()[:12] == digest
 
 
 def test_verifier_examples():

@@ -66,10 +66,15 @@ def test_nfa_duplicate_lines_union():
     [
         ("kind wat\nstates 1\nletters a\n0 a 0\n", 1, "unknown kind"),
         ("kind dfa\nstates x\nletters a\n0 a 0\n", 2, "not an integer"),
-        # integers are ASCII decimal: an optional `-` and the digits 0-9,
-        # and a negative one keeps its range message
+        # integers are ASCII decimal as `serialize` writes them: `0`, or an
+        # optional `-` and digits 0-9 with no leading zero; a negative one
+        # keeps its range message
         ("kind dfa\nstates 1_0\nletters a\n0 a 0\n", 2,
          "state count '1_0' is not an integer"),
+        ("kind dfa\nstates 02\nletters a\n0 a 0\n1 a 1\n", 2,
+         "state count '02' is not an integer"),
+        ("kind dfa\nstates 1\nletters a\n00 a 0\n", 4, "state '00' is not an integer"),
+        ("kind dfa\nstates 1\nletters a\n0 a -0\n", 4, "state '-0' is not an integer"),
         ("kind dfa\nstates -2\nletters a\n0 a 0\n", 2, "state count must be positive"),
         ("kind dfa\nstates 2\nletters a\n0 a 0\n+1 a 1\n", 5, "state '+1' is not an integer"),
         ("kind dfa\nstates 3\nletters a\n0 a \u0662\n", 4,
@@ -218,6 +223,23 @@ def test_random_instances_roundtrip(inst):
     assert parse(text) == inst
     # an empty partition or pair list is written as its bare keyword
     assert not any(line != line.rstrip() for line in text.splitlines())
+
+
+@settings(max_examples=100)
+@given(instances(), st.data())
+def test_zero_padded_integers_are_rejected(inst, data):
+    # `serialize` writes no leading zero, so a zero-padded states count or
+    # source state would come back as another token
+    lines = serialize(inst).splitlines()
+    n_cells = inst.automaton.n * len(inst.automaton.alphabet)
+    i = data.draw(st.sampled_from([1, *range(3, 3 + n_cells)]))
+    toks = lines[i].split()
+    j = 1 if i == 1 else 0
+    toks[j] = "0" + toks[j]
+    lines[i] = " ".join(toks)
+    with pytest.raises(ParseError, match=f"{toks[j]!r} is not an integer") as err:
+        parse("\n".join(lines))
+    assert err.value.line == i + 1
 
 
 def test_serialization_is_deterministic():
