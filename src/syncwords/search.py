@@ -13,13 +13,14 @@ built from two pieces, and both work a whole BFS level at a time:
   mask on a bit loop over packed columns (one int per state holding its
   images under all letters) or on byte tables built from them, chosen
   per mask by one rule (the paths are set out in `_images`);
-* the driver `_bfs(start, expand, goal, ...)`, one level-synchronized
-  breadth-first search that returns the `SearchResult`.  It calls `goal`
-  on `[start]` first, so a start that is a goal gives the empty word,
-  and then calls `expand` once per level.  A new node's parent is
-  `frontier[j // k]` and its letter `j % k`, where j is its position in
-  the level's flat list.  Its visited set is a dict from node to
-  position until, in a wide search over n-state masks, a
+* the driver `_bfs(start, expand, goal, budget, n)`, one
+  level-synchronized breadth-first search over nodes of n states (an int
+  mask, or a sequence of n entries) that returns the `SearchResult`.  It
+  calls `goal` on `[start]` first, so a start that is a goal gives the
+  empty word, and then calls `expand` once per level.  A new node's
+  parent is `frontier[j // k]` and its letter `j % k`, where j is its
+  position in the level's flat list.  Its visited set is a dict from node
+  to position until, in a wide search over int masks, a
   `bytearray(1 << n)` indexed by mask is the smaller (see `_bfs`).
   `goal(fresh)` is called once per level on the new nodes in discovery
   order.  It answers the index of the first hit and the nodes to expand;
@@ -81,7 +82,7 @@ subset searches; for dfa it degenerates to the total case.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import chain, compress, count, islice, repeat
 from math import inf
@@ -127,7 +128,8 @@ class SearchBudget:
     max_nodes: int = 10_000_000
     max_length: int = 10_000_000
     # a byte cap, enforced exactly against the per-node estimate `_node_bytes`
-    # (see `_bfs`), not against the memory a search really takes
+    # of one mask, n times that for a sequence node (see `_bfs`), not against
+    # the memory a search really takes
     max_memory: int = 8 << 30
 
     def __post_init__(self) -> None:
@@ -361,8 +363,13 @@ def _images(a: Automaton, careful: bool) -> Expand:
 Goal = Callable[[list], tuple[Optional[int], list]]
 
 
+# The discovered count below which `_bfs` never switches to its table, so
+# that the tiny searches of a reduction allocate none.
+_TABLE_FLOOR = 4096
+
+
 def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: Optional[SearchBudget],
-         node_bytes: int, negative: str, bits: Optional[int] = None) -> SearchResult:
+         n: int, negative: str = NOT_SYNCHRONIZING) -> SearchResult:
     """The level-synchronized search driver, from `start` to a `SearchResult`.
 
     `start` is level 0: `goal([start])` is called first, and a hit there is
@@ -379,35 +386,39 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: Optional[SearchBud
     `explored` counts the nodes discovered up to the hit, `start` and
     pruned ones included.  `budget` None means `DEFAULT_BUDGET`.
 
-    The visited set is the dict `parents` from node to position, and
-    the expanded levels are kept as node lists.  For int masks of `bits`
-    states (None for other nodes), after the level that brings the
-    discovered count to 4,096 and to 2^bits / 32, a `bytearray(1 << bits)`
-    indexed by mask, 0 pre-marked as no edge, replaces the dict, which
-    costs over 32 bytes a node.  Every expanded level is then kept as an
-    `array('i')` of its nodes' positions alone, 4 bytes a node.  Signed
-    32 bits suffice: a position is -1 for `start`, else below the length
-    of its level's flat list, which is far below 2^31 for any level that
-    fits in memory; one that did not fit would raise OverflowError, never
-    wrap.  Table and dict answer the same membership questions and the
-    positions are the same, so no length, witness or count changes.  The
-    floor of 4,096 keeps the tiny searches of a reduction from allocating
-    tables.
+    Every node is over the same n states: an int mask of them, or a
+    sequence of n entries (the per-start images of a directing search, a
+    transform).  The node's cost for the memory cap and the choice of the
+    table below follow from n and from whether `start` is an int.
+
+    The visited set is the dict `parents` from node to position, and the
+    expanded levels are kept as node lists.  For int masks, after the
+    level that brings the discovered count to `_TABLE_FLOOR` and to
+    2^n / 32, a `bytearray(1 << n)` indexed by mask, 0 pre-marked as no
+    edge, replaces the dict, which costs over 32 bytes a node.  Every
+    expanded level is then kept as an `array('i')` of its nodes'
+    positions alone, 4 bytes a node.  Signed 32 bits suffice: a position
+    is -1 for `start`, else below the length of its level's flat list,
+    which is far below 2^31 for any level that fits in memory; one that
+    did not fit would raise OverflowError, never wrap.  Table and dict answer the same membership questions and the
+    positions are the same, so no length, witness or count changes.
 
     The node and memory caps are exact: `explored` never exceeds the cap
-    `min(max_nodes, max_memory // node_bytes)`.  A cap of 0 stops the
-    search right after `start` is tested, with `explored` 1.  After that,
-    once per level and before `goal`, the newest new nodes past the cap
-    are dropped as never discovered; the level's goal sees only those
-    within it, so a hit past the cap is not found, and the search stops
-    with BUDGET_EXCEEDED.  The length cap stops it before it discovers a
+    `min(max_nodes, max_memory // node_bytes)`, where `node_bytes` is
+    `_node_bytes(n)` for an int mask and n times that for a sequence.  A
+    cap of 0 stops the search right after `start` is tested, with
+    `explored` 1.  After that, once per level and before `goal`, the
+    newest new nodes past the cap are dropped as never discovered; the
+    level's goal sees only those within it, so a hit past the cap is not
+    found, and the search stops with BUDGET_EXCEEDED.  The length cap stops it before it discovers a
     node whose word is longer than `max_length`.
     """
     t0 = time.perf_counter()
     budget = budget or DEFAULT_BUDGET
-    cap = min(budget.max_nodes, budget.max_memory // node_bytes)
+    mask = isinstance(start, int)
+    cap = min(budget.max_nodes, budget.max_memory // (_node_bytes(n) * (1 if mask else n)))
     # the count of discovered nodes from which the table is the smaller
-    switch = max(4096, (1 << bits) // 32) if bits is not None else inf
+    switch = max(_TABLE_FLOOR, (1 << n) // 32) if mask else inf
     parents: Optional[dict] = {start: -1}  # node -> position, until the switch
     table: Optional[bytearray] = None
     frontiers: list = []  # the expanded levels, for the walk back
@@ -445,7 +456,7 @@ def _bfs(start: Hashable, expand: Expand, goal: Goal, budget: Optional[SearchBud
             # wide searches use it
             from array import array
             frontiers = [array("i", map(parents.__getitem__, level)) for level in frontiers]
-            table = bytearray(1 << bits)
+            table = bytearray(1 << n)
             table[0] = 1
             for t in parents:
                 table[t] = 1
@@ -550,8 +561,7 @@ def _reset_search(a: Automaton, start: int, budget: Optional[SearchBudget],
     object.  A budget stop is cached too; it decides nothing, and
     `decided` raises on it every time.
     """
-    return _bfs(start, _images(a, True), _pair_goal(a.n), budget,
-                _node_bytes(a.n), negative, a.n)
+    return _bfs(start, _images(a, True), _pair_goal(a.n), budget, a.n, negative)
 
 
 def shortest_reset(a: Automaton, budget: Optional[SearchBudget] = None) -> SearchResult:
@@ -630,8 +640,7 @@ def relevant_part(a: Automaton, subset: Iterable[int],
         stack.extend(filter(_is_singleton, fresh))
         return None, fresh
 
-    _bfs(_subset_mask(a, subset), expand, goal, budget, _node_bytes(a.n), BLIND,
-         a.n).decided("relevant part")
+    _bfs(_subset_mask(a, subset), expand, goal, budget, a.n).decided("relevant part")
     if not stack:
         raise BlindSubsetError("subset is blind: no careful reset word exists")
     alive = set(stack)  # sets from which a singleton is reachable
@@ -726,8 +735,7 @@ def check_transversal_partition(a: Automaton, subset: Iterable[int],
         synchronized = synchronized or len(keep) < len(fresh)
         return hit, keep
 
-    res = _bfs(start, expand, goal, budget, _node_bytes(a.n), BLIND,
-               a.n).decided("transversal partition")
+    res = _bfs(start, expand, goal, budget, a.n).decided("transversal partition")
     if res.found:
         return TransversalViolation(res.witness, set_of(violation))
     if not synchronized:
@@ -752,7 +760,7 @@ def count_shortest_reset_words(a: Automaton, subset: Iterable[int],
     answer sums them over the edges into singletons.  The search stops on
     the level of the first singleton, and its cap is the search's: the
     sets are counted as `explored` is, the start included, against
-    `min(max_nodes, max_memory // node_bytes)`, and past it the count
+    `min(max_nodes, max_memory // _node_bytes(n))`, and past it the count
     raises BudgetExceededError.
     """
     if a.kind not in (DFA, PFA):
@@ -776,8 +784,7 @@ def count_shortest_reset_words(a: Automaton, subset: Iterable[int],
         ways.update(level)
         return flat
 
-    res = _bfs(start, expand, _first_hit(_is_singleton), budget, _node_bytes(a.n),
-               BLIND, a.n).decided("word counting")
+    res = _bfs(start, expand, _first_hit(_is_singleton), budget, a.n).decided("word counting")
     return (res.length, hits) if res.found else None
 
 
@@ -818,8 +825,7 @@ def directing_word(a: Automaton, mode: str,
         def hit(node: tuple[int, ...]) -> bool:
             return reduce(and_, node) != 0
 
-    return _bfs(tuple(1 << s for s in range(n)), expand, _first_hit(hit), budget,
-                _node_bytes(n) * n, NOT_SYNCHRONIZING)
+    return _bfs(tuple(1 << s for s in range(n)), expand, _first_hit(hit), budget, n)
 
 
 # --- one call per mode ------------------------------------------------------
@@ -1063,23 +1069,22 @@ def composition_depth(n: int, generators: Sequence[Sequence[int]],
                       budget: Optional[SearchBudget] = None) -> SearchResult:
     """Length of a shortest generator sequence whose composition hits the target.
 
-    The search starts from the empty composition `()`, which is never
-    tested, so sequences have length >= 1; the witness lists generator
-    indices in application order g1,...,gk with the composition
-    g1 o ... o gk applying gk first.
+    The search starts from the empty composition, the identity
+    `range(n)`, which is never tested, so sequences have length >= 1; the
+    witness lists generator indices in application order g1,...,gk with
+    the composition g1 o ... o gk applying gk first.  `explored` counts
+    the empty composition, as every search counts its start.
     """
     gens: list[Transform] = []
     for g in generators:
         f = tuple(g)
-        if len(f) != n or any(v < 0 or v >= n for v in f):
+        if len(f) != n or not all(isinstance(v, int) and 0 <= v < n for v in f):
             raise ValueError(f"generator {g!r} is not a function on 0..{n - 1}")
         gens.append(f)
+    identity = range(n)  # h o g is g; no transform tuple equals it
 
     def expand(frontier: list[Transform]) -> list[Transform]:
-        if frontier == [()]:  # the empty composition
-            return gens
         return [tuple(map(h.__getitem__, g)) for h in frontier for g in gens]  # h o g
 
-    res = _bfs((), expand, _first_hit(lambda f: f != () and target(f)), budget,
-               _node_bytes(n) * n, NOT_SYNCHRONIZING)
-    return replace(res, explored=res.explored - 1)  # () is not a transform
+    return _bfs(identity, expand, _first_hit(lambda f: f is not identity and target(f)),
+                budget, n)

@@ -13,7 +13,8 @@ import pytest
 import syncwords
 from syncwords import search
 from syncwords.cli import main
-from syncwords.families import cerny, debruijn_counter
+from syncwords.automata import word_tokens
+from syncwords.families import cerny, counting_word, debruijn_counter
 from syncwords.textio import load, save
 
 
@@ -114,6 +115,23 @@ def test_build_and_verify_counter(tmp_path, capsys):
         assert checks["shortest word is unique"] is True
         assert checks["switch trace counts 0..2^m-1"] is True
         assert all(checks.values())
+
+
+def test_counter_with_an_override_sequence(tmp_path, capsys):
+    # --xi 0110 is a De Bruijn sequence of order 4 other than the default:
+    # the counter built on it still takes the counting word, and verify
+    # checks a file against the counter of the sequence it is given
+    path = str(tmp_path / "xi.aut")
+    assert run_cli(capsys, "build", "counter", "--m", "4", "--xi", "0110", "-o", path)[0] == 0
+    code, out, _ = run_cli(capsys, "shortest", path, "--mode", "subset", "--format", "json")
+    result = json.loads(out)["results"][0]
+    assert (code, result["length"], result["explored"]) == (0, 46, 148)
+    assert result["witness"] == word_tokens(load(path).automaton.alphabet, counting_word(4))
+    verify = ["verify", path, "--check", "counter", "--m", "4"]
+    assert run_cli(capsys, *verify, "--xi", "0110")[0] == 0
+    assert run_cli(capsys, *verify)[0] == 2  # not the default sequence's counter
+    code, _, err = run_cli(capsys, *verify, "--xi", "0101")
+    assert (code, err) == (1, "error: override sequence is not De Bruijn of the right order\n")
 
 
 def test_build_cerny_and_debruijn(tmp_path, capsys):
@@ -404,6 +422,15 @@ def test_experiment_exits_3_when_a_search_hits_the_budget(capsys, argv):
     code, out, err = run_cli(capsys, "experiment", *argv)
     assert (code, out) == (3, "")
     assert "undecided within budget" in err
+
+
+@pytest.mark.parametrize("cap", [1, 60])
+def test_composition_budget_stop_names_the_cap(capsys, cap):
+    # the empty composition is the search's first node, so past a node cap
+    # N the stopped search has discovered N nodes, as every search does
+    code, _, err = run_cli(capsys, "experiment", "composition", "--max-nodes", str(cap))
+    assert code == 3
+    assert f"after {cap} nodes" in err
 
 
 @pytest.mark.parametrize("argv", [

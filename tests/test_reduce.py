@@ -380,6 +380,23 @@ def test_every_reduction_checks_that_synchronizability_survives(monkeypatch):
     assert dict(rep.checks)[PRESERVED] is False
 
 
+def test_subset_binarize_checks_the_decoded_witness_carefully(monkeypatch):
+    # a binarize whose apply letter loops to (s, first letter) where the
+    # selected letter is undefined: the output's witness alpha decodes to a,
+    # which is undefined on state 0, so it is no careful word of the input
+    def looping(a, subset=None):
+        k = len(a.alphabet)
+        table = [[next(iter(a.delta[s][x]), s) * k, s * k + min(x + 1, k - 1)]
+                 for s in a.states for x in range(k)]
+        return Instance(pfa_from_table(table, "ab"), frozenset(s * k for s in subset))
+
+    monkeypatch.setattr("syncwords.reduce.binarize", looping)
+    a = pfa_from_table([[None, 1], [0, 1]], "ab")
+    rep = run_reduction("binarize", Instance(a, frozenset({0, 1})))
+    assert not rep.ok
+    assert dict(rep.checks)["decoded witness resets the input subset"] is False
+
+
 # sha256 of the serialized output of each construction, taken before the
 # constructions were rewritten as successor tables
 CONSTRUCTION_DIGESTS = {

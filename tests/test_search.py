@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import tracemalloc
+from math import inf
 from unittest import mock
 
 import pytest
@@ -215,7 +216,7 @@ def _unpruned(a, start, careful):
     def goal(fresh):  # hit on the first singleton, expand every set
         return next((i for i, t in enumerate(fresh) if t.bit_count() == 1), None), fresh
 
-    res = search._bfs(start, _images(a, careful), goal, search.DEFAULT_BUDGET, 1, None)
+    res = search._bfs(start, _images(a, careful), goal, search.DEFAULT_BUDGET, a.n, None)
     return res.status, res.length, res.witness, res.explored
 
 
@@ -245,8 +246,7 @@ def test_pair_goal_hit_is_the_first_singleton_of_its_level():
     levels = iter([[0b00000011, 0b11110000],
                    [0b00000111, 0b00110000, 0b01000000, 0b11000000]])
     goal = search._pair_goal(8)
-    res = search._bfs(0b11111111, lambda frontier: next(levels), goal, None,
-                      search._node_bytes(8), NOT_SYNCHRONIZING, 8)
+    res = search._bfs(0b11111111, lambda frontier: next(levels), goal, None, 8)
     assert (res.status, res.witness, res.explored) == (FOUND, (1, 0), 6)
 
 
@@ -272,12 +272,13 @@ def test_counter_8_builds_the_byte_tables_once():
     assert (res.length, res.explored, res.witness) == (1021, 3006, counting_word(8))
 
 
-def _driver(a, careful, goal, bits):
+def _driver(a, careful, goal, table):
     """(status, word, explored) of the driver from all of a's states, with
-    the mask-indexed visited table allowed (`bits` = n) or not (None),
-    the status None when exhausted."""
-    res = search._bfs((1 << a.n) - 1, _images(a, careful), goal, search.DEFAULT_BUDGET,
-                      search._node_bytes(a.n), None, bits)
+    the mask-indexed visited table allowed, or kept off by a table floor
+    of inf; the status None when exhausted."""
+    with mock.patch.object(search, "_TABLE_FLOOR", search._TABLE_FLOOR if table else inf):
+        res = search._bfs((1 << a.n) - 1, _images(a, careful), goal, search.DEFAULT_BUDGET,
+                          a.n, None)
     return res.status, res.witness, res.explored
 
 
@@ -293,9 +294,9 @@ def _cerny_with_partial_letter(n):
                                         (cerny(14).automaton, False),
                                         (_cerny_with_partial_letter(13), True)])
 def test_visited_table_changes_no_answer(a, careful):
-    # every search discovers more than 4,096 sets, so with bits = n the
-    # driver switches to the table part way through
-    runs = [_driver(a, careful, search._pair_goal(a.n), bits) for bits in (None, a.n)]
+    # every search discovers more than 4,096 sets, so with the table allowed
+    # the driver switches to it part way through
+    runs = [_driver(a, careful, search._pair_goal(a.n), table) for table in (False, True)]
     assert runs[0] == runs[1]
     assert runs[0][0] == FOUND and runs[0][2] > 4096
 
@@ -303,7 +304,7 @@ def test_visited_table_changes_no_answer(a, careful):
 def test_visited_table_changes_no_exhaustive_search():
     # the traversal of relevant_part: every set reachable from all states
     a = cerny(14).automaton
-    runs = [_driver(a, True, lambda fresh: (None, fresh), bits) for bits in (None, 14)]
+    runs = [_driver(a, True, lambda fresh: (None, fresh), table) for table in (False, True)]
     assert runs[0] == runs[1] == (None, None, 2 ** 14 - 1)
     assert relevant_part(a, a.states)[0] == frozenset(a.states)
 
@@ -1199,7 +1200,8 @@ def test_composition_cerny4():
     gens = [tuple(next(iter(a.delta[s][x])) for s in a.states) for x in range(2)]
     res = composition_depth(4, gens, constant_target)
     assert res.length == shortest_reset(a).length == 9
-    assert res.explored == 91  # the goal is tested when a node is discovered
+    # the goal is tested when a node is discovered; the empty composition counts
+    assert res.explored == 92
     composed = gens[res.witness[0]]
     for i in res.witness[1:]:
         composed = tuple(composed[gens[i][x]] for x in range(4))
@@ -1222,8 +1224,10 @@ def test_composition_misses_target():
 
 
 def test_composition_validates_generators():
-    with pytest.raises(ValueError):
-        composition_depth(2, [(0, 5)], constant_target)
+    # an entry that is not an int is rejected as an out-of-range one is
+    for generator in [(0, 5), (0, 1.0), (0, "1"), (0, None), (0, 0.0)]:
+        with pytest.raises(ValueError, match="is not a function on 0..1"):
+            composition_depth(2, [generator], constant_target)
 
 
 @pytest.mark.parametrize("member", [5, -1])
